@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race race-alert race-trace race-index race-tenant bench bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race bench bench-index bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -46,34 +46,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The streaming subsystem is the most concurrency-dense code in the
-# repo (worker pool, per-subscriber delivery lanes, SSE fan-out,
-# SIGTERM drain); CI runs its tests race-enabled as a dedicated step so
-# a regression there is named in the job log, not buried in `race`.
-race-alert:
-	$(GO) test -race -count=1 ./internal/alert ./internal/serve ./cmd/etapd
-
-# The tracing path touches every concurrent layer at once (ingest
-# workers, subscriber lanes, the tracer's ring store, histogram
-# read/write interleavings, SSE fan-out); this runs those tests
-# race-enabled, including the end-to-end acceptance trace.
-race-trace:
-	$(GO) test -race -count=1 -run 'Trace|DTrace|Lag|Histogram|SSE|Broadcast|Disconnect|Cancel' ./internal/obs ./internal/alert ./internal/serve ./cmd/etapd
-
-# The persistent segment index juggles concurrent writer lanes, a flush
-# goroutine, a background merger and in-flight searches over retiring
-# segments; this runs its concurrency, crash-recovery and golden tests
-# race-enabled as a dedicated CI step.
-race-index:
-	$(GO) test -race -count=1 -run 'Segment|Crash|Concurrent|Postings' ./internal/index
-
-# The multi-tenant path interleaves tenant CRUD, ICP-scoped /leads
-# reads, the tenant result cache, and alert fan-out with tenant-
-# filtered subscriptions; this runs the KB, tenant, serve, and alert
-# suites race-enabled as a dedicated CI step.
-race-tenant:
-	$(GO) test -race -count=1 ./internal/tenant ./internal/kb ./internal/serve ./internal/alert
-
 # One pass over every benchmark (quality numbers + observability overhead).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
@@ -100,9 +72,8 @@ bench-alert:
 bench-trace:
 	ETAP_BENCH_TRACE=$(CURDIR)/BENCH_trace.json $(GO) test ./internal/alert -count=1 -run TestTraceBenchHarness -v
 
-# Doc-comment lint: every exported symbol must carry a godoc comment.
-# Now served by etaplint's doc-comments rule over the whole repository
-# (cmd/doclint remains as a deprecated forwarding shim).
+# Doc-comment lint: every exported symbol must carry a godoc comment,
+# enforced by etaplint's doc-comments rule over the whole repository.
 doccheck:
 	$(GO) run ./cmd/etaplint -rules doc-comments ./...
 

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	corpusgen [-seed N] [-sample K] [-json] [-kb kb.jsonl]
-//	          [-index] [-index-shards N] [-query-cache N]
+//	          [-index] [-index-shards N]
 package main
 
 import (
@@ -28,15 +28,14 @@ import (
 
 func main() {
 	var (
-		seed      = flag.Int64("seed", 1, "generation seed")
-		sample    = flag.Int("sample", 3, "documents to print per kind")
-		asJSON    = flag.Bool("json", false, "dump the whole corpus as JSON to stdout")
-		relevant  = flag.Int("relevant", 0, "relevant docs per driver (0 = default)")
-		backgrnd  = flag.Int("background", 0, "background docs (0 = default)")
-		doIndex   = flag.Bool("index", false, "build the search index and print its statistics")
-		shards    = flag.Int("index-shards", 0, "search-index shard count (0 = GOMAXPROCS)")
-		cacheSize = flag.Int("query-cache", 0, "query-result cache entries (0 = default, negative = disabled)")
-		kbPath    = flag.String("kb", "", "generate the company knowledge base from -seed and write it as JSONL to this path")
+		seed     = flag.Int64("seed", 1, "generation seed")
+		sample   = flag.Int("sample", 3, "documents to print per kind")
+		asJSON   = flag.Bool("json", false, "dump the whole corpus as JSON to stdout")
+		relevant = flag.Int("relevant", 0, "relevant docs per driver (0 = default)")
+		backgrnd = flag.Int("background", 0, "background docs (0 = default)")
+		doIndex  = flag.Bool("index", false, "build the search index and print its statistics")
+		shards   = flag.Int("index-shards", 0, "search-index shard count (0 = GOMAXPROCS)")
+		kbPath   = flag.String("kb", "", "generate the company knowledge base from -seed and write it as JSONL to this path")
 	)
 	flag.Parse()
 
@@ -59,7 +58,11 @@ func main() {
 
 	if *doIndex {
 		start := time.Now()
-		w := core.BuildWebWith(docs, core.Config{Shards: *shards, CacheSize: *cacheSize})
+		w, err := core.BuildWebEngine(docs, core.Config{Shards: *shards})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "corpusgen:", err)
+			os.Exit(1)
+		}
 		st := w.Index().IndexStats()
 		fmt.Printf("indexed %d documents in %v\n", st.Docs, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("shards: %d\n", st.Shards)

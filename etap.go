@@ -42,17 +42,14 @@ package etap
 import (
 	"context"
 
-	"etap/internal/alert"
 	"etap/internal/classify"
 	"etap/internal/core"
 	"etap/internal/corpus"
 	"etap/internal/gather"
 	"etap/internal/index"
-	"etap/internal/kb"
 	"etap/internal/ner"
 	"etap/internal/obs"
 	"etap/internal/rank"
-	"etap/internal/tenant"
 	"etap/internal/train"
 	"etap/internal/web"
 )
@@ -129,32 +126,16 @@ func NewWeb() *Web { return web.New() }
 // BuildWeb indexes generated documents into a frozen web.
 func BuildWeb(docs []Document) *Web { return core.BuildWeb(docs) }
 
-// BuildWebWith is BuildWeb honouring the Config's search-index knobs:
+// BuildWebEngine is BuildWeb honouring the Config's search-index knobs:
 // Shards selects the index shard count (0 = GOMAXPROCS) and CacheSize
 // the query-result cache capacity (0 = default, negative = disabled).
-// The index bulk-loads concurrently; page order and ranked search
-// results are identical to BuildWeb for any shard count.
-func BuildWebWith(docs []Document, cfg Config) *Web { return core.BuildWebWith(docs, cfg) }
-
-// BuildWebEngine is BuildWebWith honouring the Config's persistence
-// knobs: with IndexDir set, the web is backed by the on-disk segment
-// index rooted there — documents committed in a previous run re-open
-// instead of re-indexing, and the returned web must be Closed to flush
-// and release the index. With IndexDir empty it is exactly BuildWebWith.
-// Ranked results are identical for either engine.
+// With IndexDir set, the web is backed by the on-disk segment index
+// rooted there — documents committed in a previous run re-open instead
+// of re-indexing, and the returned web must be Closed to flush and
+// release the index. Page order and ranked results are identical for
+// either engine and any shard count.
 func BuildWebEngine(docs []Document, cfg Config) (*Web, error) {
 	return core.BuildWebEngine(docs, cfg)
-}
-
-// BuildWebFromHTML renders every document to HTML and recovers text,
-// title and links through the HTML extractor — the path a real crawl
-// takes. Behaviourally equivalent to BuildWeb.
-func BuildWebFromHTML(docs []Document) *Web { return core.BuildWebFromHTML(docs) }
-
-// BuildWebFromHTMLWith is BuildWebFromHTML honouring the Config's
-// search-index knobs, like BuildWebWith.
-func BuildWebFromHTMLWith(docs []Document, cfg Config) *Web {
-	return core.BuildWebFromHTMLWith(docs, cfg)
 }
 
 // CrawlConfig controls a focused crawl of the data-gathering component.
@@ -252,67 +233,6 @@ func InduceLexicon(w *Web, posSeeds, negSeeds, candidates []string) Lexicon {
 	return rank.InduceLexicon(w.Index(), posSeeds, negSeeds, candidates)
 }
 
-// AlertManager is the streaming subsystem: incremental document
-// ingestion through a bounded worker pool, fingerprint-deduplicated
-// trigger events, and at-least-once alert delivery to subscribers.
-type AlertManager = alert.Manager
-
-// AlertConfig tunes the streaming subsystem (worker pool, queue
-// bounds, delivery retry policy, subscription set).
-type AlertConfig = alert.Config
-
-// Subscription is a standing request for alerts matching a company,
-// driver and minimum score, delivered to a webhook URL.
-type Subscription = alert.Subscription
-
-// Alert is one delivered trigger event, tagged with the subscription
-// it matched.
-type Alert = alert.Alert
-
-// IngestDocument is one document submitted to the streaming ingest
-// path. (The etap.Document name is taken by the synthetic-web corpus
-// document.)
-type IngestDocument = alert.Document
-
-// NewAlertManager wires the streaming subsystem over a trained system,
-// an event sink (internal/serve's server implements it over the lead
-// store) and a frozen web that accepts incremental pages.
-func NewAlertManager(sys *System, sink alert.Sink, w *Web, cfg AlertConfig) *AlertManager {
-	return alert.NewManager(sys, sink, w, cfg)
-}
-
-// KnowledgeBase is the deterministic synthetic company knowledge base:
-// one firmographic record (industry, size, HQ, keywords, inter-company
-// relationships) per canonical company identity in the corpus.
-type KnowledgeBase = kb.KB
-
-// KBCompany is one knowledge-base record.
-type KBCompany = kb.Company
-
-// KBConfig seeds knowledge-base generation; equal seeds produce
-// byte-identical knowledge bases.
-type KBConfig = kb.Config
-
-// GenerateKB builds the knowledge base over the corpus company
-// inventory from a generation seed.
-func GenerateKB(cfg KBConfig) *KnowledgeBase { return kb.Generate(cfg) }
-
-// TenantRegistry holds per-tenant ideal-customer profiles with CRUD,
-// JSONL persistence, and a monotonic revision for checkpointing.
-type TenantRegistry = tenant.Registry
-
-// TenantProfile is one tenant's ideal-customer profile: the industry,
-// size, location, and keyword criteria leads are filtered and
-// re-ranked against.
-type TenantProfile = tenant.Profile
-
-// TenantConfig wires a tenant registry (clock and metrics registry
-// injection).
-type TenantConfig = tenant.Config
-
-// NewTenantRegistry builds an empty tenant registry.
-func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegistry(cfg) }
-
 // Metrics is a binary confusion matrix with precision/recall/F1.
 type Metrics = classify.Metrics
 
@@ -325,39 +245,3 @@ type MetricsRegistry = obs.Registry
 // package reports into — the one etapd serves at /metrics and
 // /debug/vars.
 func DefaultMetrics() *MetricsRegistry { return obs.Default }
-
-// Trace accumulates per-stage wall time and item counts for one logical
-// run (an extraction pass, a training round).
-type Trace = obs.Trace
-
-// Span measures one pipeline-stage invocation within a trace.
-type Span = obs.Span
-
-// NewTrace starts a per-run stage trace reporting into the default
-// registry.
-func NewTrace(name string) *Trace { return obs.NewTrace(name, nil) }
-
-// WithTrace attaches a trace to the context; spans started under it
-// contribute to the trace's summary as well as the registry.
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	return obs.WithTrace(ctx, tr)
-}
-
-// StartSpan begins measuring a named pipeline stage; pair with End.
-func StartSpan(ctx context.Context, stage string) *Span {
-	return obs.StartSpan(ctx, stage)
-}
-
-// Tracer mints and retains per-document distributed traces: one span
-// tree per ingested document, tail-sampled so errors and the slow tail
-// are always kept. Share one tracer between the alert manager (which
-// mints traces) and the HTTP server (which browses them at
-// /debug/traces).
-type Tracer = obs.Tracer
-
-// TracerConfig tunes a Tracer; the zero value selects the documented
-// defaults (256 retained traces, wall clock, crypto-seeded IDs).
-type TracerConfig = obs.TracerConfig
-
-// NewTracer builds a per-document tracer.
-func NewTracer(cfg TracerConfig) *Tracer { return obs.NewTracer(cfg) }

@@ -111,20 +111,15 @@ type Config struct {
 	// the control arm of the observability-overhead benchmark. Like
 	// Metrics, it does not affect train/gather/index metrics.
 	DisableMetrics bool
-	// Shards is the search-index shard count used when this Config
-	// builds a web (BuildWebWith / BuildWebFromHTMLWith); 0 means
-	// GOMAXPROCS. It does not re-shard a web built elsewhere. Ranked
-	// results are identical for any shard count.
+	// Shards is the search-index shard count (or, with IndexDir, the
+	// writer-lane count) used when BuildWebEngine builds a web from this
+	// Config; 0 means GOMAXPROCS. It does not re-shard a web built
+	// elsewhere. Ranked results are identical for any shard count.
 	Shards int
 	// CacheSize is the search-index query-result cache capacity in
 	// entries, applied like Shards at web-build time; 0 means
 	// index.DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// RouteSeed, when non-zero, makes the search index's shard routing
-	// deterministic across process restarts (see index.Options.RouteSeed).
-	// Applied like Shards at web-build time; 0 keeps the per-process
-	// random routing.
-	RouteSeed uint64
 	// Fetch is the data-gathering fetch policy — retry/backoff/breaker
 	// settings and optional fault injection — applied by System.Crawl.
 	// The zero value means gather's documented defaults and no injected
@@ -448,24 +443,10 @@ func (s *System) Score(driverID, text string) (float64, error) {
 // ExtractEvents runs the event identification component over pages: each
 // page is split into snippets, annotated, scored, and snippets at or
 // above threshold become trigger events. The subject company is the first
-// ORG entity in the snippet (when any).
+// ORG entity in the snippet (when any). It is ExtractEventsParallel with
+// one worker: pages are scored in order on the caller's goroutine.
 func (s *System) ExtractEvents(driverID string, pages []*web.Page, threshold float64) ([]rank.Event, error) {
-	td, ok := s.drivers[driverID]
-	if !ok {
-		return nil, ErrUnknownDriver
-	}
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	if s.met != nil {
-		s.met.runs.Inc()
-	}
-	gen := snippet.Generator{N: s.cfg.SnippetN}
-	var events []rank.Event
-	for _, page := range pages {
-		events = append(events, s.scorePage(td, driverID, gen, page, threshold)...)
-	}
-	return events, nil
+	return s.ExtractEventsParallel(driverID, pages, threshold, 1)
 }
 
 // ExtractAllEvents runs event identification across every trained
@@ -504,8 +485,8 @@ func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, 
 }
 
 // scorePage splits one page into snippets and scores each against the
-// driver classifier — the per-page unit of work shared by the
-// sequential and parallel extractors. When metrics are enabled it
+// driver classifier — the per-page unit of work of
+// ExtractEventsParallel. When metrics are enabled it
 // attributes wall time to the snippet/annotate/classify stages and
 // counts snippets scored and events emitted.
 func (s *System) scorePage(td *trainedDriver, driverID string, gen snippet.Generator, page *web.Page, threshold float64) []rank.Event {

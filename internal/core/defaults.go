@@ -1,13 +1,12 @@
 package core
 
 import (
-	"runtime"
 	"strings"
-	"sync"
 
 	"etap/internal/corpus"
 	"etap/internal/htmlx"
 	"etap/internal/index"
+	"etap/internal/par"
 	"etap/internal/rank"
 	"etap/internal/train"
 	"etap/internal/web"
@@ -38,72 +37,25 @@ func DefaultDrivers() []SalesDriver {
 
 // BuildWeb converts generated corpus documents into a frozen web with a
 // search index — the standard bridge between the synthetic corpus and the
-// pipeline. Equivalent to BuildWebWith with a zero Config.
+// pipeline. The in-RAM index uses its defaults.
 func BuildWeb(docs []corpus.Document) *web.Web {
-	return BuildWebWith(docs, Config{})
+	return assembleWeb(index.New(), corpusPages(docs))
 }
 
-// BuildWebWith is BuildWeb honouring the Config's index knobs (Shards,
-// CacheSize, RouteSeed) and bulk-loading the sharded index
-// concurrently. Page order, page content and ranked search results are
-// identical to a sequential build for any shard count.
-func BuildWebWith(docs []corpus.Document, cfg Config) *web.Web {
-	w := web.New(web.WithIndexOptions(index.Options{
-		Shards:    cfg.Shards,
-		CacheSize: cfg.CacheSize,
-		RouteSeed: cfg.RouteSeed,
-	}))
-	pages := make([]web.Page, len(docs))
-	for i, d := range docs {
-		pages[i] = web.Page{
-			URL:   d.URL,
-			Host:  d.Host,
-			Title: d.Title,
-			Text:  d.Text(),
-			Links: d.Links,
-		}
-	}
-	w.AddPages(pages)
-	w.Freeze()
-	return w
-}
-
-// BuildWebEngine is BuildWebWith honouring the Config's persistence
-// knobs: with IndexDir set the web is backed by the on-disk segment
-// index (opened or created there), so documents already committed from
-// a previous run are served without re-indexing — only the page table
-// is rebuilt from docs. With IndexDir empty it is exactly BuildWebWith.
-// Callers owning a persistent web must Close it to flush and release
-// the index.
+// BuildWebEngine is BuildWeb honouring the Config's index knobs. With
+// IndexDir empty the web is backed by an in-RAM index with Shards and
+// CacheSize. With IndexDir set it is backed by the on-disk segment index
+// (opened or created there), so documents already committed from a
+// previous run are served without re-indexing — only the page table is
+// rebuilt from docs. Page order, page content and ranked search results
+// are identical for either engine and any shard count. Callers owning a
+// persistent web must Close it to flush and release the index.
 func BuildWebEngine(docs []corpus.Document, cfg Config) (*web.Web, error) {
-	if cfg.IndexDir == "" {
-		return BuildWebWith(docs, cfg), nil
-	}
-	eng, err := index.OpenSegmentIndex(index.SegmentOptions{
-		Dir:         cfg.IndexDir,
-		FlushDocs:   cfg.SegmentFlushDocs,
-		MergeFactor: cfg.MergeFactor,
-		Writers:     cfg.Shards,
-		CacheSize:   cfg.CacheSize,
-		RouteSeed:   cfg.RouteSeed,
-	})
+	eng, err := openEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := web.New(web.WithEngine(eng))
-	pages := make([]web.Page, len(docs))
-	for i, d := range docs {
-		pages[i] = web.Page{
-			URL:   d.URL,
-			Host:  d.Host,
-			Title: d.Title,
-			Text:  d.Text(),
-			Links: d.Links,
-		}
-	}
-	w.AddPages(pages)
-	w.Freeze()
-	return w, nil
+	return assembleWeb(eng, corpusPages(docs)), nil
 }
 
 // BuildWebFromHTML exercises the full gathering path a real deployment
@@ -111,25 +63,56 @@ func BuildWebEngine(docs []corpus.Document, cfg Config) (*web.Web, error) {
 // then the page text, title and links are recovered with internal/htmlx.
 // The resulting web is behaviourally equivalent to BuildWeb's (same
 // sentences, same links), which TestBuildWebFromHTMLEquivalence asserts.
-// Equivalent to BuildWebFromHTMLWith with a zero Config.
 func BuildWebFromHTML(docs []corpus.Document) *web.Web {
-	return BuildWebFromHTMLWith(docs, Config{})
+	return assembleWeb(index.New(), htmlPages(docs))
 }
 
-// BuildWebFromHTMLWith is BuildWebFromHTML honouring the Config's index
-// knobs. The HTML render runs concurrently in internal/corpus, the
-// text/title/link extraction concurrently here, and the index bulk-load
-// concurrently in internal/web — the three expensive phases of
-// ingesting a crawl.
-func BuildWebFromHTMLWith(docs []corpus.Document, cfg Config) *web.Web {
-	w := web.New(web.WithIndexOptions(index.Options{
-		Shards:    cfg.Shards,
-		CacheSize: cfg.CacheSize,
-		RouteSeed: cfg.RouteSeed,
-	}))
+// openEngine returns the search engine cfg selects: the persistent
+// segment index in IndexDir, or an in-RAM index when IndexDir is empty.
+func openEngine(cfg Config) (index.Engine, error) {
+	if cfg.IndexDir == "" {
+		return index.NewWithOptions(index.Options{Shards: cfg.Shards, CacheSize: cfg.CacheSize}), nil
+	}
+	return index.OpenSegmentIndex(index.SegmentOptions{
+		Dir:         cfg.IndexDir,
+		FlushDocs:   cfg.SegmentFlushDocs,
+		MergeFactor: cfg.MergeFactor,
+		Writers:     cfg.Shards,
+		CacheSize:   cfg.CacheSize,
+	})
+}
+
+// assembleWeb is the one web-assembly path: pages bulk-load into eng
+// concurrently (web.AddPages), then the web freezes.
+func assembleWeb(eng index.Engine, pages []web.Page) *web.Web {
+	w := web.New(web.WithEngine(eng))
+	w.AddPages(pages)
+	w.Freeze()
+	return w
+}
+
+// corpusPages converts generated documents to pages directly.
+func corpusPages(docs []corpus.Document) []web.Page {
+	pages := make([]web.Page, len(docs))
+	for i, d := range docs {
+		pages[i] = web.Page{
+			URL:   d.URL,
+			Host:  d.Host,
+			Title: d.Title,
+			Text:  d.Text(),
+			Links: d.Links,
+		}
+	}
+	return pages
+}
+
+// htmlPages converts generated documents to pages through their HTML:
+// the render runs concurrently in internal/corpus and the
+// text/title/link extraction concurrently here.
+func htmlPages(docs []corpus.Document) []web.Page {
 	rendered := corpus.RenderHTMLAll(docs)
 	pages := make([]web.Page, len(docs))
-	parallelRange(len(docs), func(i int) {
+	par.For(0, len(docs), func(i int) {
 		html := rendered[i]
 		text := htmlx.ExtractText(html)
 		// The nav/header/footer blocks are page chrome, not article
@@ -145,40 +128,7 @@ func BuildWebFromHTMLWith(docs []corpus.Document, cfg Config) *web.Web {
 			Links: htmlx.ExtractLinks(html),
 		}
 	})
-	w.AddPages(pages)
-	w.Freeze()
-	return w
-}
-
-// parallelRange runs fn(0..n-1) across a GOMAXPROCS worker pool. fn
-// must only touch state owned by its own index.
-func parallelRange(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	return pages
 }
 
 // stripChrome removes the navigation prefix (everything before the

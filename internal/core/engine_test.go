@@ -20,7 +20,7 @@ func TestBuildWebEngineReopen(t *testing.T) {
 	}).World()
 	queries := []string{"merger", `"joint venture"`, "acquisition", "revenue growth"}
 
-	ram := BuildWebWith(docs, Config{})
+	ram := BuildWeb(docs)
 	golden := make(map[string]string, len(queries))
 	for _, q := range queries {
 		hits := ram.Search(q, 10)

@@ -10,7 +10,7 @@ import (
 // overhead of the enabled path is measured by
 // BenchmarkExtractObservability.
 type pipelineMetrics struct {
-	// Per-stage wall time, shared families with the obs span API.
+	// Per-stage wall time, in the shared obs stage families.
 	snippetDur  *obs.Histogram
 	annotateDur *obs.Histogram
 	classifyDur *obs.Histogram

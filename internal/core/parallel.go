@@ -1,20 +1,18 @@
 package core
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-
+	"etap/internal/par"
 	"etap/internal/rank"
 	"etap/internal/snippet"
 	"etap/internal/web"
 )
 
-// ExtractEventsParallel is ExtractEvents with a worker pool: pages are
-// scored concurrently, which matters when ETAP processes a full crawl.
-// The result is identical to the sequential version — events arrive in
-// (page, snippet) order regardless of scheduling. workers <= 0 uses
-// GOMAXPROCS.
+// ExtractEventsParallel is ExtractEvents spread over workers goroutines
+// through par.For: pages are scored concurrently, which matters when
+// ETAP processes a full crawl. The result is identical for any worker
+// count — events arrive in (page, snippet) order regardless of
+// scheduling. workers <= 0 uses GOMAXPROCS; one worker scores the pages
+// in order on the caller's goroutine.
 //
 // When metrics are enabled, the etap_extract_queue_depth gauge tracks
 // pages enqueued but not yet claimed and etap_extract_workers_busy
@@ -28,68 +26,26 @@ func (s *System) ExtractEventsParallel(driverID string, pages []*web.Page, thres
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers <= 1 {
-		return s.ExtractEvents(driverID, pages, threshold)
-	}
 	m := s.met
 	if m != nil {
 		m.runs.Inc()
+		m.queueDepth.Add(int64(len(pages)))
 	}
-
-	type indexed struct {
-		page   int
-		events []rank.Event
-	}
-	jobs := make(chan int)
-	results := make(chan indexed, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gen := snippet.Generator{N: s.cfg.SnippetN}
-			for pi := range jobs {
-				if m != nil {
-					m.queueDepth.Dec()
-					m.workersBusy.Inc()
-				}
-				events := s.scorePage(td, driverID, gen, pages[pi], threshold)
-				if m != nil {
-					m.workersBusy.Dec()
-				}
-				results <- indexed{page: pi, events: events}
-			}
-		}()
-	}
-	go func() {
-		for i := range pages {
-			if m != nil {
-				m.queueDepth.Inc()
-			}
-			jobs <- i
+	gen := snippet.Generator{N: s.cfg.SnippetN}
+	perPage := make([][]rank.Event, len(pages))
+	par.For(workers, len(pages), func(i int) {
+		if m != nil {
+			m.queueDepth.Dec()
+			m.workersBusy.Inc()
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	collected := make([]indexed, 0, len(pages))
-	for r := range results {
-		if len(r.events) > 0 {
-			collected = append(collected, r)
+		perPage[i] = s.scorePage(td, driverID, gen, pages[i], threshold)
+		if m != nil {
+			m.workersBusy.Dec()
 		}
-	}
-	sort.Slice(collected, func(i, j int) bool { return collected[i].page < collected[j].page })
+	})
 	var out []rank.Event
-	for _, c := range collected {
-		out = append(out, c.events...)
+	for _, events := range perPage {
+		out = append(out, events...)
 	}
 	return out, nil
 }

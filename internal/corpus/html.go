@@ -2,9 +2,9 @@ package corpus
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
+
+	"etap/internal/par"
 )
 
 // RenderHTML renders a generated document as the HTML page a crawler
@@ -34,39 +34,14 @@ func RenderHTML(doc *Document) string {
 	return b.String()
 }
 
-// RenderHTMLAll renders every document concurrently across a
-// GOMAXPROCS worker pool, preserving input order — the bulk path
-// core.BuildWebFromHTML uses to feed the sharded index without making
-// HTML rendering the serial bottleneck. Rendering is per-document pure,
-// so the output is identical to calling RenderHTML in a loop.
+// RenderHTMLAll renders every document concurrently through par.For,
+// preserving input order — the bulk path core.BuildWebFromHTML uses to
+// feed the sharded index without making HTML rendering the serial
+// bottleneck. Rendering is per-document pure, so the output is
+// identical to calling RenderHTML in a loop.
 func RenderHTMLAll(docs []Document) []string {
 	out := make([]string, len(docs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		for i := range docs {
-			out[i] = RenderHTML(&docs[i])
-		}
-		return out
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = RenderHTML(&docs[i])
-			}
-		}()
-	}
-	for i := range docs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.For(0, len(docs), func(i int) { out[i] = RenderHTML(&docs[i]) })
 	return out
 }
 

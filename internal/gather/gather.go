@@ -9,13 +9,11 @@ import (
 	"container/heap"
 	"context"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
-	"etap/internal/index"
 	"etap/internal/obs"
+	"etap/internal/par"
 	"etap/internal/textproc"
 	"etap/internal/web"
 )
@@ -321,72 +319,12 @@ func Collect(sources ...Source) []*web.Page {
 	return out
 }
 
-// contentHashAll fingerprints every page across a GOMAXPROCS worker
-// pool, preserving order.
+// contentHashAll fingerprints every page through par.For, preserving
+// order.
 func contentHashAll(pages []*web.Page) []uint64 {
 	out := make([]uint64, len(pages))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers <= 1 {
-		for i, p := range pages {
-			out[i] = contentHash(p.Text)
-		}
-		return out
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = contentHash(pages[i].Text)
-			}
-		}()
-	}
-	for i := range pages {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.For(0, len(pages), func(i int) { out[i] = contentHash(pages[i].Text) })
 	return out
-}
-
-// IndexCollection bulk-loads a gathered collection into a fresh search
-// index, tokenizing pages concurrently — the bridge from the
-// data-gathering component's collection D to a queryable substrate.
-// Page title and text are indexed together, like web.AddPage does.
-func IndexCollection(pages []*web.Page, opts index.Options) *index.Index {
-	ix := index.NewWithOptions(opts)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers <= 1 {
-		for _, p := range pages {
-			ix.Add(p.URL, p.Title+" "+p.Text)
-		}
-		return ix
-	}
-	jobs := make(chan *web.Page)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				ix.Add(p.URL, p.Title+" "+p.Text)
-			}
-		}()
-	}
-	for _, p := range pages {
-		jobs <- p
-	}
-	close(jobs)
-	wg.Wait()
-	return ix
 }
 
 // --- change monitor --------------------------------------------------------

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"etap/internal/corpus"
-	"etap/internal/index"
 	"etap/internal/web"
 )
 
@@ -357,24 +356,5 @@ func TestCollectParallelHashingKeepsOrderAndDedup(t *testing.T) {
 		if p.URL != a[i].URL {
 			t.Fatalf("order changed at %d: %s", i, p.URL)
 		}
-	}
-}
-
-func TestIndexCollection(t *testing.T) {
-	var pages []*web.Page
-	for i := 0; i < 40; i++ {
-		pages = append(pages, &web.Page{
-			URL:   fmt.Sprintf("http://c.example.com/%d", i),
-			Title: "Business update",
-			Text:  fmt.Sprintf("Company %d appointed a new ceo in round %d", i%5, i),
-		})
-	}
-	ix := IndexCollection(pages, index.Options{Shards: 4})
-	if ix.Len() != len(pages) {
-		t.Fatalf("indexed %d docs, want %d", ix.Len(), len(pages))
-	}
-	hits := ix.Search(`"new ceo"`, 0)
-	if len(hits) != len(pages) {
-		t.Fatalf("phrase search found %d docs, want %d", len(hits), len(pages))
 	}
 }

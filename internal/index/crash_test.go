@@ -22,17 +22,16 @@ import (
 // documents.
 
 const (
-	crashEnvDir   = "ETAP_INDEX_CRASH_DIR"
-	crashCorpusN  = 6000
-	crashSeed     = 77
-	crashRouteSee = 0xc4a5
+	crashEnvDir  = "ETAP_INDEX_CRASH_DIR"
+	crashCorpusN = 6000
+	crashSeed    = 77
 )
 
 // crashOptions is the configuration both parent and child use: tiny
 // flushes and a factor-2 merger keep the engine constantly inside
 // flush and merge commit windows, which is where the kill lands.
 func crashOptions(dir string) SegmentOptions {
-	return SegmentOptions{Dir: dir, Writers: 2, FlushDocs: 25, MergeFactor: 2, RouteSeed: crashRouteSee, CacheSize: -1}
+	return SegmentOptions{Dir: dir, Writers: 2, FlushDocs: 25, MergeFactor: 2, CacheSize: -1}
 }
 
 // TestCrashChildProcess is the re-exec helper, not a test: it only
@@ -127,11 +126,17 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 // disk (0 when no manifest exists yet).
 func diskGeneration(t *testing.T, dir string) uint64 {
 	t.Helper()
+	return diskManifest(t, dir).Generation
+}
+
+// diskManifest reads the committed manifest straight off disk.
+func diskManifest(t *testing.T, dir string) manifest {
+	t.Helper()
 	m, err := loadManifest(dir)
 	if err != nil {
 		t.Fatalf("manifest unreadable mid-run: %v", err)
 	}
-	return m.Generation
+	return m
 }
 
 // verifyRecovery opens the possibly-just-killed index and asserts the
@@ -146,26 +151,6 @@ func verifyRecovery(t *testing.T, dir string, textOf map[string]string, round in
 		t.Fatalf("round %d: recovery open failed (torn commit?): %v", round, err)
 	}
 	defer si.Close()
-
-	// (b) The open swept orphans: no temporaries, and every segment
-	// file on disk is referenced by the manifest.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segFiles := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			t.Fatalf("round %d: temporary file %s survived recovery", round, e.Name())
-		}
-		if strings.HasSuffix(e.Name(), segmentSuffix) {
-			segFiles++
-		}
-	}
-	st := si.SegmentStats()
-	if segFiles != st.Segments {
-		t.Fatalf("round %d: %d segment files on disk, manifest commits %d", round, segFiles, st.Segments)
-	}
 
 	// (c) Every recovered document is a real one, exactly once.
 	recovered := si.DocIDs()
@@ -193,6 +178,31 @@ func verifyRecovery(t *testing.T, dir string, textOf map[string]string, round in
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: query %q diverges on recovered corpus", round, q)
 		}
+	}
+
+	// (b) The open swept orphans: no temporaries, and every segment
+	// file on disk is referenced by the manifest. Checked last, with
+	// the index closed: while it is open, the merger the reopen kicks
+	// may legitimately hold a temporary, or a renamed segment its
+	// manifest commit does not reference yet.
+	if err := si.Close(); err != nil {
+		t.Fatalf("round %d: close after recovery: %v", round, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segFiles := 0
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), tmpSuffix) {
+			t.Fatalf("round %d: temporary file %s survived recovery", round, e.Name())
+		}
+		if strings.HasSuffix(e.Name(), segmentSuffix) {
+			segFiles++
+		}
+	}
+	if committed := len(diskManifest(t, dir).Segments); segFiles != committed {
+		t.Fatalf("round %d: %d segment files on disk, manifest commits %d", round, segFiles, committed)
 	}
 }
 

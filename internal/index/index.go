@@ -28,7 +28,6 @@
 package index
 
 import (
-	"hash/maphash"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -81,13 +80,6 @@ type Options struct {
 	// CacheSize is the query-result cache capacity in entries; 0 means
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// RouteSeed, when non-zero, replaces the per-process random shard
-	// routing with a deterministic hash seeded by this value, so the
-	// same documents land on the same shards across process restarts.
-	// Ranked results are identical either way; a fixed seed matters
-	// only when shard placement itself must be reproducible (debugging
-	// a specific shard, comparing shard-level stats across runs).
-	RouteSeed uint64
 }
 
 // Index is a positional inverted index over added documents, sharded by
@@ -97,7 +89,6 @@ type Options struct {
 // documents added so far.
 type Index struct {
 	shards []*shard
-	route  func(docID string) uint64
 	gen    atomic.Uint64 // bumped on every Add; versions cache entries
 	cache  *queryCache   // nil when disabled
 }
@@ -115,7 +106,7 @@ func NewWithOptions(o Options) *Index {
 	if n < 1 {
 		n = 1
 	}
-	ix := &Index{shards: make([]*shard, n), route: routeFunc(o.RouteSeed)}
+	ix := &Index{shards: make([]*shard, n)}
 	for i := range ix.shards {
 		ix.shards[i] = newShard()
 	}
@@ -142,33 +133,27 @@ func (ix *Index) Len() int {
 	return n
 }
 
-// routeFunc builds the docID → hash routing function. Seed 0 keeps the
-// historical behavior — a fresh random maphash seed per index, which is
-// fast and well-mixed but differs between processes. A non-zero seed
-// selects a seeded FNV-1a hash with a splitmix64 finalizer instead, so
-// shard placement reproduces exactly across restarts.
-func routeFunc(seed uint64) func(string) uint64 {
-	if seed == 0 {
-		//etaplint:ignore determinism -- sanctioned site: random per-process shard routing is the documented default; RouteSeed opts into the reproducible path
-		s := maphash.MakeSeed()
-		return func(docID string) uint64 { return maphash.String(s, docID) }
+// routeSeed perturbs the routing hash. It is a constant, so shard and
+// writer-lane placement is a pure function of the document ID and
+// reproduces exactly across restarts.
+const routeSeed = 42
+
+// route hashes a document ID for shard and writer-lane routing: FNV-1a
+// over the ID, seed-perturbed, then finalized with splitmix64 so
+// low-entropy IDs still spread across shards.
+func route(docID string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(docID); i++ {
+		h ^= uint64(docID[i])
+		h *= 1099511628211
 	}
-	return func(docID string) uint64 {
-		// FNV-1a over the ID, seed-perturbed, then finalized with
-		// splitmix64 so low-entropy IDs still spread across shards.
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(docID); i++ {
-			h ^= uint64(docID[i])
-			h *= 1099511628211
-		}
-		h ^= seed
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e9b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-		return h
-	}
+	h ^= routeSeed
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e9b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // shardFor routes a document ID to its owning shard.
@@ -176,7 +161,7 @@ func (ix *Index) shardFor(docID string) *shard {
 	if len(ix.shards) == 1 {
 		return ix.shards[0]
 	}
-	return ix.shards[ix.route(docID)%uint64(len(ix.shards))]
+	return ix.shards[route(docID)%uint64(len(ix.shards))]
 }
 
 // terms normalizes text into index terms: lower-cased stemmed word

@@ -76,10 +76,6 @@ type SegmentOptions struct {
 	// CacheSize is the query-result cache capacity in entries; 0 means
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// RouteSeed, when non-zero, makes writer routing deterministic
-	// across restarts (see Options.RouteSeed). Routing only places
-	// documents into lanes; ranked results are identical either way.
-	RouteSeed uint64
 }
 
 // SegmentIndex is the persistent, segment-based search engine: the
@@ -97,7 +93,6 @@ type SegmentIndex struct {
 	dir         string
 	flushDocs   int
 	mergeFactor int
-	route       func(string) uint64
 	gen         atomic.Uint64 // bumped on every Add; versions cache entries
 	cache       *queryCache   // nil when disabled
 
@@ -158,7 +153,6 @@ func OpenSegmentIndex(o SegmentOptions) (*SegmentIndex, error) {
 		dir:         o.Dir,
 		flushDocs:   o.FlushDocs,
 		mergeFactor: o.MergeFactor,
-		route:       routeFunc(o.RouteSeed),
 		man:         man,
 		flushCh:     make(chan *memSegment, o.Writers+2),
 		kickCh:      make(chan struct{}, 1),
@@ -210,7 +204,7 @@ func (si *SegmentIndex) writerFor(docID string) *writer {
 	if len(si.writers) == 1 {
 		return si.writers[0]
 	}
-	return si.writers[si.route(docID)%uint64(len(si.writers))]
+	return si.writers[route(docID)%uint64(len(si.writers))]
 }
 
 // Add indexes a document: tokenize outside any lock, append to the

@@ -57,10 +57,10 @@ func TestSegmentEngineMatchesInRAMGolden(t *testing.T) {
 	}
 
 	for _, cfg := range []SegmentOptions{
-		{Writers: 1, FlushDocs: 1 << 30},                // everything stays in one memtable
-		{Writers: 1, FlushDocs: 500},                    // many flushes, tiered merges
-		{Writers: 2, FlushDocs: 700, MergeFactor: 2},    // aggressive merging
-		{Writers: 4, FlushDocs: 997, RouteSeed: 0xe7a9}, // deterministic routing
+		{Writers: 1, FlushDocs: 1 << 30},             // everything stays in one memtable
+		{Writers: 1, FlushDocs: 500},                 // many flushes, tiered merges
+		{Writers: 2, FlushDocs: 700, MergeFactor: 2}, // aggressive merging
+		{Writers: 4, FlushDocs: 997},
 		{Writers: 8, FlushDocs: 256, MergeFactor: 3, CacheSize: -1},
 	} {
 		cfg := cfg

@@ -35,6 +35,8 @@ var determinismScope = []string{
 	// restarts — wall clocks and global rand would silently break both.
 	"internal/kb",
 	"internal/tenant",
+	// The HTTP API must answer an unchanged store with the same bytes.
+	"internal/serve",
 }
 
 // globalRandFuncs are the math/rand (and math/rand/v2) package-level

@@ -1,5 +1,5 @@
 // Distributed per-document tracing: the request-scoped complement to
-// the aggregate Trace/Span API. A Tracer mints one DTrace per document
+// the aggregate stage metrics (StageDuration, StageItems). A Tracer mints one DTrace per document
 // accepted by POST /ingest; the trace's span tree (parent/child IDs,
 // wall-clock timestamps, status, attributes) follows the document
 // through extraction, subscription matching, and every webhook
@@ -9,10 +9,8 @@
 // traces always, healthy ones probabilistically — served by etapd at
 // GET /debug/traces and GET /debug/traces/{id}.
 //
-// The D prefix (DTrace, DSpan) distinguishes the distributed,
-// per-document types from the aggregate Trace/Span pair, which keeps
-// its API untouched; StartSpan additionally contributes a DSpan when
-// its context carries one, so batch instrumentation feeds both layers.
+// The D prefix (DTrace, DSpan) marks the distributed, per-document
+// types.
 package obs
 
 import (

@@ -281,26 +281,6 @@ func TestContextPlumbing(t *testing.T) {
 	}
 }
 
-func TestStartSpanFeedsDSpanTree(t *testing.T) {
-	reg := NewRegistry()
-	tr := testTracer(t, TracerConfig{SampleRate: 1, Registry: reg}, time.Millisecond)
-	dt, root := tr.StartTrace("ingest")
-	ctx := ContextWithDSpan(context.Background(), root)
-	// The aggregate span API, handed a ctx carrying a DSpan, contributes
-	// to the distributed tree too.
-	sp := StartSpan(ctx, "classify")
-	sp.AddItems(3)
-	sp.End()
-	root.End()
-	tv, ok := tr.Get(dt.ID())
-	if !ok {
-		t.Fatal("trace not retained")
-	}
-	if len(tv.Spans) != 2 || tv.Spans[1].Name != "classify" {
-		t.Fatalf("spans = %+v, want root + classify", tv.Spans)
-	}
-}
-
 func TestTraceHandlerStampsLogLines(t *testing.T) {
 	tr := testTracer(t, TracerConfig{SampleRate: 1}, time.Millisecond)
 	_, root := tr.StartTrace("ingest")

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -267,31 +265,11 @@ func TestHistogramBoundsRace(t *testing.T) {
 	}
 }
 
-func TestSpanAndTrace(t *testing.T) {
+func TestStageMetrics(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTrace("run", r)
-	ctx := WithTrace(context.Background(), tr)
-
-	sp := StartSpan(ctx, "classify")
-	sp.AddItems(10)
-	time.Sleep(time.Millisecond)
-	sp.End()
-	sp.End() // double End is a no-op
-
-	sp2 := StartSpan(ctx, "classify")
-	sp2.AddItems(5)
-	sp2.End()
-
-	sum := tr.Summary()
-	if len(sum) != 1 {
-		t.Fatalf("stages = %d, want 1", len(sum))
-	}
-	st := sum[0]
-	if st.Stage != "classify" || st.Calls != 2 || st.Items != 15 {
-		t.Fatalf("stage stats = %+v", st)
-	}
-	if st.Duration < time.Millisecond {
-		t.Fatalf("duration = %v, want >= 1ms", st.Duration)
+	for _, items := range []uint64{10, 5} {
+		StageDuration(r, "classify").Observe(0.001)
+		StageItems(r, "classify").Add(items)
 	}
 	if got := StageDuration(r, "classify").Count(); got != 2 {
 		t.Fatalf("registry histogram count = %d, want 2", got)
@@ -299,17 +277,28 @@ func TestSpanAndTrace(t *testing.T) {
 	if got := StageItems(r, "classify").Value(); got != 15 {
 		t.Fatalf("registry items = %d, want 15", got)
 	}
-	if s := tr.String(); !strings.Contains(s, "run:") || !strings.Contains(s, "classify=") {
-		t.Fatalf("trace string = %q", s)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-}
+	for _, want := range []string{
+		StageDurationMetric + `_count{stage="classify"} 2`,
+		StageItemsMetric + `{stage="classify"} 15`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
 
-func TestStartSpanWithoutTrace(t *testing.T) {
-	before := StageDuration(nil, "orphan").Count()
-	sp := StartSpan(context.Background(), "orphan")
-	sp.End()
-	if got := StageDuration(nil, "orphan").Count(); got != before+1 {
+	// A nil registry means Default.
+	before, beforeItems := StageDuration(Default, "orphan").Count(), StageItems(Default, "orphan").Value()
+	StageDuration(nil, "orphan").Observe(0.001)
+	StageItems(nil, "orphan").Inc()
+	if got := StageDuration(Default, "orphan").Count(); got != before+1 {
 		t.Fatalf("default-registry count = %d, want %d", got, before+1)
+	}
+	if got := StageItems(Default, "orphan").Value(); got != beforeItems+1 {
+		t.Fatalf("default-registry items = %d, want %d", got, beforeItems+1)
 	}
 }
 

@@ -1,17 +1,8 @@
 package obs
 
-import (
-	"context"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-)
-
-// Stage metric names shared by the span API and the direct pipeline
-// instrumentation: both report into the same families, so /metrics shows
-// one per-stage timing catalog regardless of which path recorded it.
+// Stage metric names: every pipeline stage reports its wall time and
+// item count into these two families, so /metrics shows one per-stage
+// timing catalog.
 const (
 	StageDurationMetric = "etap_stage_duration_seconds"
 	StageItemsMetric    = "etap_stage_items_total"
@@ -35,159 +26,4 @@ func StageItems(reg *Registry, stage string) *Counter {
 	}
 	return reg.Counter(StageItemsMetric,
 		"Items processed per pipeline stage.", "stage", stage)
-}
-
-// StageStats aggregates all spans of one stage within a trace.
-type StageStats struct {
-	Stage    string
-	Calls    int
-	Items    int64
-	Duration time.Duration
-}
-
-// Trace accumulates per-stage accounting for one logical run (a full
-// extraction pass, a training round). It is safe for concurrent spans.
-type Trace struct {
-	Name string
-
-	reg   *Registry
-	start time.Time
-
-	mu     sync.Mutex
-	stages map[string]*StageStats
-	order  []string
-}
-
-// NewTrace starts a trace reporting into reg (nil means Default).
-func NewTrace(name string, reg *Registry) *Trace {
-	if reg == nil {
-		reg = Default
-	}
-	//etaplint:ignore determinism -- metrics-only timing; the trace start anchors wall-time accounting
-	return &Trace{Name: name, reg: reg, start: time.Now(), stages: map[string]*StageStats{}}
-}
-
-type traceKey struct{}
-
-// WithTrace attaches a trace to the context; spans started under it
-// contribute to the trace's per-run summary in addition to the registry.
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, tr)
-}
-
-// TraceFrom returns the trace attached to ctx, or nil.
-func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	return tr
-}
-
-// Span measures one stage invocation: wall time plus an item count.
-type Span struct {
-	tr    *Trace
-	d     *DSpan // per-document span when ctx carried one; usually nil
-	dur   *Histogram
-	items *Counter
-	stage string
-	start time.Time
-	n     int64
-	done  bool
-}
-
-// StartSpan begins measuring a pipeline stage. The span records into
-// the trace attached to ctx (if any) and into that trace's registry —
-// or Default when ctx carries no trace. When ctx also carries a
-// per-document DSpan, a child DSpan opens under it and ends with this
-// span, so batch instrumentation feeds the distributed span tree with
-// no extra call sites. Always pair with End:
-//
-//	sp := obs.StartSpan(ctx, "classify")
-//	defer sp.End()
-func StartSpan(ctx context.Context, stage string) *Span {
-	tr := TraceFrom(ctx)
-	var reg *Registry
-	if tr != nil {
-		reg = tr.reg
-	}
-	var d *DSpan
-	if cur := DSpanFrom(ctx); cur != nil {
-		d = cur.Child(stage)
-	}
-	return &Span{
-		tr:    tr,
-		d:     d,
-		dur:   StageDuration(reg, stage),
-		items: StageItems(reg, stage),
-		stage: stage,
-		//etaplint:ignore determinism -- metrics-only timing; the span start anchors the stage histogram
-		start: time.Now(),
-	}
-}
-
-// AddItems credits n processed items to the span (snippets scored,
-// events emitted, pages fetched — whatever the stage counts).
-func (s *Span) AddItems(n int) {
-	if s == nil {
-		return
-	}
-	s.n += int64(n)
-}
-
-// End stops the span, recording duration and items. Ending twice is a
-// no-op.
-func (s *Span) End() {
-	if s == nil || s.done {
-		return
-	}
-	s.done = true
-	elapsed := time.Since(s.start)
-	s.dur.Observe(elapsed.Seconds())
-	if s.n > 0 {
-		s.items.Add(uint64(s.n))
-	}
-	if s.tr != nil {
-		s.tr.record(s.stage, s.n, elapsed)
-	}
-	s.d.End()
-}
-
-func (t *Trace) record(stage string, items int64, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.stages[stage]
-	if !ok {
-		st = &StageStats{Stage: stage}
-		t.stages[stage] = st
-		t.order = append(t.order, stage)
-	}
-	st.Calls++
-	st.Items += items
-	st.Duration += d
-}
-
-// Elapsed returns the wall time since the trace started.
-func (t *Trace) Elapsed() time.Duration { return time.Since(t.start) }
-
-// Summary returns per-stage aggregates in first-seen order.
-func (t *Trace) Summary() []StageStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]StageStats, 0, len(t.order))
-	for _, name := range t.order {
-		out = append(out, *t.stages[name])
-	}
-	return out
-}
-
-// String renders the trace compactly, stages sorted by descending
-// duration: "extract: classify 1.2s/480 annotate 0.9s/480 ...".
-func (t *Trace) String() string {
-	sum := t.Summary()
-	sort.Slice(sum, func(i, j int) bool { return sum[i].Duration > sum[j].Duration })
-	var b strings.Builder
-	b.WriteString(t.Name)
-	b.WriteByte(':')
-	for _, st := range sum {
-		fmt.Fprintf(&b, " %s=%s/%d", st.Stage, st.Duration.Round(time.Microsecond), st.Items)
-	}
-	return b.String()
 }

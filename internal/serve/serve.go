@@ -91,6 +91,7 @@ func NewWithRegistry(sys *core.System, leads *store.Store, reg *obs.Registry) *S
 	if reg == nil {
 		reg = obs.Default
 	}
+	//etaplint:ignore determinism -- metrics-only timing: the start time feeds the uptime gauge and /healthz uptime, never a lead or a ranking
 	s := &Server{sys: sys, leads: leads, reg: reg, start: time.Now(), mux: http.NewServeMux()}
 	s.registerRuntimeMetrics()
 	s.registerBuildInfo()
@@ -131,6 +132,7 @@ func (s *Server) handle(method, pattern string, h http.HandlerFunc) {
 	latency := s.reg.Histogram("etap_http_request_duration_seconds",
 		"HTTP request latency by route.", nil, "path", pattern)
 	s.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
+		//etaplint:ignore determinism -- metrics-only timing: the timestamp feeds the request-latency histogram, never a response body
 		start := time.Now()
 		sw := NewStatusWriter(w)
 		h(sw, r)
@@ -340,9 +342,17 @@ func (s *Server) handleCompanies(w http.ResponseWriter, r *http.Request) {
 	for _, l := range all {
 		byDriver[l.Driver] = append(byDriver[l.Driver], l.Event)
 	}
+	// CompanyMRR keeps the first surface form of a company it meets and
+	// sums reciprocal ranks in input order, so drivers go in sorted
+	// order: the same store must answer with the same bytes.
+	drivers := make([]string, 0, len(byDriver))
+	for d := range byDriver {
+		drivers = append(drivers, d)
+	}
+	sort.Strings(drivers)
 	var ranked []rank.Ranked
-	for _, events := range byDriver {
-		ranked = append(ranked, rank.ByScore(events)...)
+	for _, d := range drivers {
+		ranked = append(ranked, rank.ByScore(byDriver[d])...)
 	}
 	scores := rank.CompanyMRR(ranked)
 	if len(scores) > top {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -176,6 +177,27 @@ func TestCompaniesEndpoint(t *testing.T) {
 	// Acme has events in two drivers (rank 1 in each) -> MRR 1.
 	if rank.Canonical(scores[0].Company) != "acme" || scores[0].Events != 2 {
 		t.Fatalf("top company = %+v", scores[0])
+	}
+}
+
+// TestCompaniesStableAcrossRequests pins /companies to one answer per
+// store: the company's display name (the first surface form the
+// aggregation meets) and its reciprocal-rank sum must not depend on
+// the order drivers come out of a map.
+func TestCompaniesStableAcrossRequests(t *testing.T) {
+	st := store.New()
+	st.Add([]rank.Event{
+		{SnippetID: "c#0", Driver: "change-in-management", Company: "Acme Corp", Score: 0.9, Text: "Acme Corp named a CEO."},
+		{SnippetID: "c#1", Driver: "mergers-acquisitions", Company: "Acme", Score: 0.8, Text: "Acme bought Widget."},
+		{SnippetID: "c#2", Driver: "revenue-growth", Company: "ACME Inc.", Score: 0.7, Text: "ACME Inc. revenue rose."},
+		{SnippetID: "c#3", Driver: "revenue-growth", Company: "Widget", Score: 0.95, Text: "Widget revenue doubled."},
+	}, time.Unix(1_120_000_000, 0))
+	srv := New(nil, st)
+	_, first := get(t, srv, "/companies")
+	for i := 0; i < 200; i++ {
+		if _, body := get(t, srv, "/companies"); !bytes.Equal(body, first) {
+			t.Fatalf("GET %d answered %s; the first GET answered %s", i+2, body, first)
+		}
 	}
 }
 

@@ -7,12 +7,12 @@ package web
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
 	"etap/internal/index"
+	"etap/internal/par"
 	"etap/internal/textproc"
 )
 
@@ -42,21 +42,15 @@ type Web struct {
 type Option func(*webOptions)
 
 type webOptions struct {
-	index  index.Options
 	engine index.Engine
 }
 
-// WithIndexOptions selects the search-index configuration (shard count,
-// query-cache capacity) for webs built with New.
-func WithIndexOptions(o index.Options) Option {
-	return func(wo *webOptions) { wo.index = o }
-}
-
-// WithEngine backs the web with a caller-supplied search engine — in
-// practice a persistent index.SegmentIndex — instead of a fresh in-RAM
-// index. A reopened engine may already hold documents; the build and
-// ingest paths then repair the page table without re-indexing (ranked
-// results are identical either way). Overrides WithIndexOptions.
+// WithEngine backs the web with a caller-supplied search engine — an
+// in-RAM index.Index built with non-default options, or a persistent
+// index.SegmentIndex — instead of a fresh default in-RAM index. A
+// reopened engine may already hold documents; the build and ingest
+// paths then repair the page table without re-indexing (ranked results
+// are identical either way).
 func WithEngine(e index.Engine) Option {
 	return func(wo *webOptions) { wo.engine = e }
 }
@@ -70,7 +64,7 @@ func New(opts ...Option) *Web {
 	}
 	ix := wo.engine
 	if ix == nil {
-		ix = index.NewWithOptions(wo.index)
+		ix = index.New()
 	}
 	return &Web{pages: make(map[string]*Page), ix: ix}
 }
@@ -138,32 +132,7 @@ func (w *Web) AddPages(pages []Page) {
 	// Concurrent phase: the index hashes documents to shards, so
 	// workers rarely contend on a shard lock. index.Add is safe for
 	// concurrent use, so no web lock is held here.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(stored) {
-		workers = len(stored)
-	}
-	if workers <= 1 {
-		for _, p := range stored {
-			w.indexPage(p)
-		}
-		return
-	}
-	jobs := make(chan *Page)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				w.indexPage(p)
-			}
-		}()
-	}
-	for _, p := range stored {
-		jobs <- p
-	}
-	close(jobs)
-	wg.Wait()
+	par.For(0, len(stored), func(i int) { w.indexPage(stored[i]) })
 }
 
 // ErrDuplicatePage reports an Ingest of a URL the web already holds —

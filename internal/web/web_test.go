@@ -191,8 +191,10 @@ func TestAddPagesDuplicatePanics(t *testing.T) {
 	})
 }
 
+// TestWithIndexOptions checks that an in-RAM index built with
+// non-default options and handed over through WithEngine backs the web.
 func TestWithIndexOptions(t *testing.T) {
-	w := New(WithIndexOptions(index.Options{Shards: 3, CacheSize: -1}))
+	w := New(WithEngine(index.NewWithOptions(index.Options{Shards: 3, CacheSize: -1})))
 	w.AddPage(Page{URL: "http://x.example.com/", Text: "merger news"})
 	if got := w.Index().IndexStats().Shards; got != 3 {
 		t.Fatalf("IndexStats().Shards = %d, want 3", got)
