@@ -1,11 +1,12 @@
-# CI entry points. The GitHub Actions workflow runs `make ci` (vet +
-# build + lint + race-enabled tests, so the race detector and the
-# repo's own static analysis gate every PR) followed by
-# `make doccheck`, `make examples` and `make fmt-check`.
+# CI entry points. `make ci` is vet + build + lint + race-enabled
+# tests. The GitHub Actions workflow runs the same checks as separate
+# steps (go vet, go build, `make lint`, `make lint-bench`, go test
+# -race), then `make doccheck`, `make examples`, `make fmt-check` and
+# the benchmark module's vet and tests (`make bench-check`).
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race bench bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race bench bench-check bench-index bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -49,6 +50,12 @@ race:
 # One pass over every benchmark (quality numbers + observability overhead).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# The end-to-end benchmark (etapbench/, see BENCHMARK.json) is a module
+# of its own, so ./... above never reaches it: vet it and run its unit
+# tests and smoke-sized workloads here.
+bench-check:
+	cd etapbench && $(GO) vet ./... && $(GO) test ./...
 
 # Index scaling harness: measures the segment engine against the
 # in-RAM baseline over a 50k-doc synthetic corpus — concurrent bulk add

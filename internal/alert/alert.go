@@ -118,8 +118,8 @@ type Config struct {
 	// Subscriptions is the initial subscription set (typically loaded
 	// from a checkpoint); nil starts empty.
 	Subscriptions *Subscriptions
-	// Deliverer pushes alerts to webhook endpoints; nil means
-	// WebhookDeliverer over http.DefaultClient. Tests inject recorders
+	// Deliverer pushes alerts to webhook endpoints; nil means a
+	// WebhookDeliverer with its default client. Tests inject recorders
 	// and fault injectors.
 	Deliverer Deliverer
 	// Log receives structured progress and drop reports; nil means

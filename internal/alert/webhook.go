@@ -18,10 +18,26 @@ import (
 
 // WebhookDeliverer POSTs alerts to each subscription's WebhookURL.
 type WebhookDeliverer struct {
-	// Client is the HTTP client; nil means http.DefaultClient. Attempt
-	// deadlines come from the retry policy's context, so the client
-	// needs no timeout of its own.
+	// Client is the HTTP client; nil means a shared client that keeps
+	// up to 64 idle connections per receiver. Attempt deadlines come
+	// from the retry policy's context, so the client needs no timeout
+	// of its own.
 	Client *http.Client
+}
+
+// webhookIdleConnsPerHost is how many idle connections the default
+// client keeps per receiver. Hundreds of subscriber lanes post to a
+// few receivers at once; http.DefaultClient keeps 2, so most
+// deliveries would dial anew and leave a socket in TIME-WAIT.
+const webhookIdleConnsPerHost = 64
+
+// defaultWebhookClient serves every WebhookDeliverer without a Client.
+var defaultWebhookClient = newWebhookClient()
+
+func newWebhookClient() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = webhookIdleConnsPerHost
+	return &http.Client{Transport: t}
 }
 
 // Deliver implements Deliverer.
@@ -42,7 +58,7 @@ func (wd *WebhookDeliverer) Deliver(ctx context.Context, sub Subscription, a Ale
 	}
 	client := wd.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = defaultWebhookClient
 	}
 	resp, err := client.Do(req)
 	if err != nil {

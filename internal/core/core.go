@@ -25,6 +25,7 @@ import (
 	"etap/internal/ner"
 	"etap/internal/noise"
 	"etap/internal/obs"
+	"etap/internal/par"
 	"etap/internal/rank"
 	"etap/internal/snippet"
 	"etap/internal/train"
@@ -313,22 +314,21 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 		}
 	}
 
-	// Extract feature lists once; apply classical feature selection
-	// (Section 3.2.1) computed on the training data.
-	var featLists [][]string
-	var labels []bool
-	add := func(units []annotate.Unit, label bool) {
-		featLists = append(featLists, feature.Extract(units, policy))
-		labels = append(labels, label)
-	}
-	for _, u := range pureUnits {
-		add(u, true)
-	}
+	// Extract feature lists once, on every core; apply classical feature
+	// selection (Section 3.2.1) computed on the training data.
+	units := make([][]annotate.Unit, 0, len(pureUnits)+len(noisy)+len(s.negatives))
+	units = append(units, pureUnits...)
 	for _, n := range noisy {
-		add(n.Units, true)
+		units = append(units, n.Units)
 	}
 	for _, n := range s.negatives {
-		add(n.Units, false)
+		units = append(units, n.Units)
+	}
+	featLists := make([][]string, len(units))
+	par.For(0, len(units), func(i int) { featLists[i] = feature.Extract(units[i], policy) })
+	labels := make([]bool, len(units))
+	for i := range labels {
+		labels[i] = i < len(pureUnits)+len(noisy)
 	}
 
 	vocab := feature.NewVocab()

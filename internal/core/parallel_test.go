@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"etap/internal/corpus"
+	"etap/internal/train"
 	"etap/internal/web"
 )
 
@@ -71,6 +74,67 @@ func TestExtractEventsParallelEmptyPages(t *testing.T) {
 	if len(events) != 0 {
 		t.Fatalf("events from no pages: %d", len(events))
 	}
+}
+
+// trainingRun is everything training produces that must not depend on
+// how many cores annotate the training data. TrainingStats carries the
+// vocabulary size.
+type trainingRun struct {
+	noisy      []train.Snippet
+	noisyStats []train.Stats
+	negatives  []train.Snippet
+	stats      []TrainingStats
+	probs      []float64
+}
+
+// trainAt runs the training-data steps on their own, then trains every
+// default driver, with GOMAXPROCS set to procs. At one, par.For runs
+// inline in index order: the sequential reference.
+func trainAt(t *testing.T, procs int) trainingRun {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f := newFixture(t, 46, Config{Seed: 46})
+	var run trainingRun
+	for _, d := range DefaultDrivers() {
+		noisy, stats := train.NoisyPositives(f.web, f.sys.Annotator(),
+			train.Spec{SmartQueries: d.SmartQueries, Filter: d.Filter}, train.Config{TopK: 60})
+		run.noisy = append(run.noisy, noisy...)
+		run.noisyStats = append(run.noisyStats, stats)
+	}
+	run.negatives = train.Negatives(f.web, f.sys.Annotator(), 300, 0, 46)
+	probes := corpus.NewGenerator(corpus.Config{Seed: 47}).BackgroundSnippets(10)
+	for _, d := range corpus.Drivers {
+		run.stats = append(run.stats, f.addDriver(t, d, 10))
+		probes = append(probes, corpus.NewGenerator(corpus.Config{Seed: 48}).PurePositives(d, 10)...)
+	}
+	for _, d := range corpus.Drivers {
+		for _, p := range probes {
+			prob, err := f.sys.Score(string(d), p.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.probs = append(run.probs, prob)
+		}
+	}
+	return run
+}
+
+func TestTrainingIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	seq := trainAt(t, 1)
+	par := trainAt(t, 4)
+	if len(seq.noisy) == 0 || len(seq.negatives) == 0 {
+		t.Fatalf("empty training data: %d noisy, %d negatives", len(seq.noisy), len(seq.negatives))
+	}
+	check := func(what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s differ between GOMAXPROCS=1 and 4", what)
+		}
+	}
+	check("noisy-positive snippets and units", seq.noisy, par.noisy)
+	check("noisy-positive Stats", seq.noisyStats, par.noisyStats)
+	check("negative snippets and units", seq.negatives, par.negatives)
+	check("training stats", seq.stats, par.stats)
+	check("classifier probabilities", seq.probs, par.probs)
 }
 
 func BenchmarkExtractEventsSequential(b *testing.B) {

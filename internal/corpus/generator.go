@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"etap/internal/gazetteer"
@@ -131,6 +132,7 @@ type Generator struct {
 	cfg Config
 	rng *rand.Rand
 	seq int
+	buf []byte // fillWith's sentence buffer
 }
 
 // NewGenerator builds a seeded generator.
@@ -168,7 +170,7 @@ func (g *Generator) World() []Document {
 func (g *Generator) FamousEventDoc(pair [2]string) Document {
 	var sents []Sentence
 	for i, n := 0, 2+g.rng.Intn(3); i < n; i++ {
-		pool := trainTemplates[MergersAcquisitions]
+		pool := trainPool[MergersAcquisitions]
 		tpl := pool[g.rng.Intn(len(pool))]
 		sents = append(sents, Sentence{
 			Text:    g.fillPinned(tpl, pair[0], pair[1]),
@@ -321,9 +323,9 @@ func (g *Generator) newDoc(kind DocKind, d Driver, company string, sents []Sente
 // trigger realizes one trigger sentence for d about company. heldout
 // selects the held-out template pool.
 func (g *Generator) trigger(d Driver, company string, heldout bool) Sentence {
-	pool := trainTemplates[d]
+	pool := trainPool[d]
 	if heldout {
-		pool = heldoutTemplates[d]
+		pool = heldoutPool[d]
 	}
 	tpl := pool[g.rng.Intn(len(pool))]
 	return Sentence{
@@ -334,23 +336,23 @@ func (g *Generator) trigger(d Driver, company string, heldout bool) Sentence {
 }
 
 func (g *Generator) misleading(d Driver) Sentence {
-	pool := misleadingTemplates[d]
+	pool := misleadingPool[d]
 	tpl := pool[g.rng.Intn(len(pool))]
 	return Sentence{Text: g.fill(tpl, ""), Misleading: true}
 }
 
 func (g *Generator) neutral() Sentence {
-	tpl := neutralBusinessTemplates[g.rng.Intn(len(neutralBusinessTemplates))]
+	tpl := neutralPool[g.rng.Intn(len(neutralPool))]
 	return Sentence{Text: g.fill(tpl, "")}
 }
 
 func (g *Generator) noise() Sentence {
-	tpl := noiseTemplates[g.rng.Intn(len(noiseTemplates))]
+	tpl := noisePool[g.rng.Intn(len(noisePool))]
 	return Sentence{Text: g.fill(tpl, "")}
 }
 
 func (g *Generator) boilerplate() Sentence {
-	tpl := boilerplateTemplates[g.rng.Intn(len(boilerplateTemplates))]
+	tpl := boilerplatePool[g.rng.Intn(len(boilerplatePool))]
 	return Sentence{Text: g.fill(tpl, "")}
 }
 
@@ -394,7 +396,7 @@ func (g *Generator) person() string {
 }
 
 // fill expands placeholders in tpl. company, when non-empty, pins {ORG1}.
-func (g *Generator) fill(tpl, company string) string {
+func (g *Generator) fill(tpl template, company string) string {
 	org1 := company
 	if org1 == "" {
 		org1 = g.company()
@@ -407,11 +409,15 @@ func (g *Generator) fill(tpl, company string) string {
 }
 
 // fillPinned expands placeholders with both organizations fixed.
-func (g *Generator) fillPinned(tpl, org1, org2 string) string {
+func (g *Generator) fillPinned(tpl template, org1, org2 string) string {
 	return g.fillWith(tpl, org1, org2)
 }
 
-func (g *Generator) fillWith(tpl, org1, org2 string) string {
+// fillWith draws every placeholder value, used by tpl or not, and
+// writes the sentence in one pass. The draws and their order decide
+// every later value the generator produces: reordering, adding or
+// skipping one changes every world.
+func (g *Generator) fillWith(tpl template, org1, org2 string) string {
 	prsn := g.person()
 	prsn2 := g.person()
 	for prsn2 == prsn {
@@ -422,69 +428,146 @@ func (g *Generator) fillWith(tpl, org1, org2 string) string {
 	if year2 > 2005 {
 		year2 = 2005
 	}
+	desig := g.designation()
+	cur := g.currency()
+	pct := g.percent()
+	per := g.period()
+	qtr := g.quarter()
+	plc := gazetteer.Places[g.rng.Intn(len(gazetteer.Places))]
+	prod := gazetteer.Products[g.rng.Intn(len(gazetteer.Products))]
+	cnt := 2 + g.rng.Intn(30)
+	posPhrase := positivePhrases[g.rng.Intn(len(positivePhrases))]
+	negPhrase := negativePhrases[g.rng.Intn(len(negativePhrases))]
 
-	replacements := []struct{ ph, val string }{
-		{"{ORG1}", org1},
-		{"{ORG2}", org2},
-		{"{PRSN2}", prsn2},
-		{"{PRSN}", prsn},
-		{"{DESIG}", g.designation()},
-		{"{CUR}", g.currency()},
-		{"{PCT}", g.percent()},
-		{"{PERIOD}", g.period()},
-		{"{QTR}", g.quarter()},
-		{"{YEAR2}", fmt.Sprintf("%d", year2)},
-		{"{YEAR}", fmt.Sprintf("%d", year)},
-		{"{PLC}", gazetteer.Places[g.rng.Intn(len(gazetteer.Places))]},
-		{"{PROD}", gazetteer.Products[g.rng.Intn(len(gazetteer.Products))]},
-		{"{CNT}", fmt.Sprintf("%d", 2+g.rng.Intn(30))},
-		{"{POSPHRASE}", positivePhrases[g.rng.Intn(len(positivePhrases))]},
-		{"{NEGPHRASE}", negativePhrases[g.rng.Intn(len(negativePhrases))]},
+	b := g.buf[:0]
+	for _, p := range tpl {
+		switch p.slot {
+		case slotLiteral:
+			b = append(b, p.lit...)
+		case slotORG1:
+			b = append(b, org1...)
+		case slotORG2:
+			b = append(b, org2...)
+		case slotPRSN:
+			b = append(b, prsn...)
+		case slotPRSN2:
+			b = append(b, prsn2...)
+		case slotDESIG:
+			b = append(b, desig...)
+		case slotCUR:
+			b = cur.appendTo(b)
+		case slotPCT:
+			b = pct.appendTo(b)
+		case slotPERIOD:
+			b = per.appendTo(b)
+		case slotQTR:
+			b = append(b, qtr...)
+		case slotYEAR:
+			b = strconv.AppendInt(b, int64(year), 10)
+		case slotYEAR2:
+			b = strconv.AppendInt(b, int64(year2), 10)
+		case slotPLC:
+			b = append(b, plc...)
+		case slotPROD:
+			b = append(b, prod...)
+		case slotCNT:
+			b = strconv.AppendInt(b, int64(cnt), 10)
+		case slotPOSPHRASE:
+			b = append(b, posPhrase...)
+		case slotNEGPHRASE:
+			b = append(b, negPhrase...)
+		}
 	}
-	out := tpl
-	for _, r := range replacements {
-		out = strings.ReplaceAll(out, r.ph, r.val)
-	}
-	return out
+	g.buf = b
+	return string(b)
 }
 
-func (g *Generator) currency() string {
-	amount := 5 + g.rng.Intn(900)
-	unit := "million"
+// money is a drawn currency amount ("$120 million", "$3 billion").
+type money struct {
+	amount  int
+	billion bool
+}
+
+func (g *Generator) currency() money {
+	m := money{amount: 5 + g.rng.Intn(900)}
 	if g.rng.Float64() < 0.2 {
-		unit = "billion"
-		amount = 1 + g.rng.Intn(40)
+		m = money{amount: 1 + g.rng.Intn(40), billion: true}
 	}
-	return fmt.Sprintf("$%d %s", amount, unit)
+	return m
 }
 
-func (g *Generator) percent() string {
-	p := 1 + g.rng.Intn(40)
-	if g.rng.Float64() < 0.5 {
-		return fmt.Sprintf("%d percent", p)
+func (m money) appendTo(b []byte) []byte {
+	b = append(b, '$')
+	b = strconv.AppendInt(b, int64(m.amount), 10)
+	if m.billion {
+		return append(b, " billion"...)
 	}
-	return fmt.Sprintf("%d%%", p)
+	return append(b, " million"...)
 }
 
-func (g *Generator) period() string {
+// percentage is a drawn percentage ("12 percent", "12%").
+type percentage struct {
+	n    int
+	word bool
+}
+
+func (g *Generator) percent() percentage {
+	return percentage{n: 1 + g.rng.Intn(40), word: g.rng.Float64() < 0.5}
+}
+
+func (p percentage) appendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(p.n), 10)
+	if p.word {
+		return append(b, " percent"...)
+	}
+	return append(b, '%')
+}
+
+// calendarExpr is a drawn calendar expression: a month or weekday
+// name, optionally followed by a day of the month and a year
+// ("January 12, 2004", "Friday", "March 2003", "May").
+type calendarExpr struct {
+	name      string
+	day, year int // 0 when absent
+}
+
+func (g *Generator) period() calendarExpr {
 	switch g.rng.Intn(4) {
 	case 0:
 		m := gazetteer.Months[g.rng.Intn(len(gazetteer.Months))]
-		return fmt.Sprintf("%s %d, %d", m, 1+g.rng.Intn(28), 2000+g.rng.Intn(6))
+		return calendarExpr{name: m, day: 1 + g.rng.Intn(28), year: 2000 + g.rng.Intn(6)}
 	case 1:
-		return gazetteer.Weekdays[g.rng.Intn(len(gazetteer.Weekdays))]
+		return calendarExpr{name: gazetteer.Weekdays[g.rng.Intn(len(gazetteer.Weekdays))]}
 	case 2:
 		m := gazetteer.Months[g.rng.Intn(len(gazetteer.Months))]
-		return fmt.Sprintf("%s %d", m, 2000+g.rng.Intn(6))
+		return calendarExpr{name: m, year: 2000 + g.rng.Intn(6)}
 	default:
-		return gazetteer.Months[g.rng.Intn(len(gazetteer.Months))]
+		return calendarExpr{name: gazetteer.Months[g.rng.Intn(len(gazetteer.Months))]}
 	}
+}
+
+func (c calendarExpr) appendTo(b []byte) []byte {
+	b = append(b, c.name...)
+	if c.day > 0 {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(c.day), 10)
+		b = append(b, ',')
+	}
+	if c.year > 0 {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(c.year), 10)
+	}
+	return b
+}
+
+// ordinalQuarters are the spelled-out quarters ("the first quarter").
+var ordinalQuarters = []string{
+	"the first quarter", "the second quarter", "the third quarter", "the fourth quarter",
 }
 
 func (g *Generator) quarter() string {
 	if g.rng.Float64() < 0.5 {
 		return gazetteer.Quarters[g.rng.Intn(len(gazetteer.Quarters))]
 	}
-	ord := []string{"first", "second", "third", "fourth"}[g.rng.Intn(4)]
-	return "the " + ord + " quarter"
+	return ordinalQuarters[g.rng.Intn(len(ordinalQuarters))]
 }

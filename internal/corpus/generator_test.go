@@ -286,8 +286,50 @@ func TestOrientationPhraseAccessors(t *testing.T) {
 	}
 }
 
+// Every template in every pool parses into known placeholders only, so
+// a typo such as {ORG} cannot ship literally into generated pages.
+// Package init already panics on the first bad template; this test
+// names each one and shows the parser rejects malformed placeholders.
+func TestEveryTemplateParses(t *testing.T) {
+	type pool struct {
+		name string
+		tpls []string
+	}
+	pools := []pool{
+		{"neutralBusinessTemplates", neutralBusinessTemplates},
+		{"noiseTemplates", noiseTemplates},
+		{"boilerplateTemplates", boilerplateTemplates},
+	}
+	for _, p := range []struct {
+		name     string
+		byDriver map[Driver][]string
+	}{
+		{"trainTemplates", trainTemplates},
+		{"heldoutTemplates", heldoutTemplates},
+		{"misleadingTemplates", misleadingTemplates},
+		{"misleadingHeldout", misleadingHeldout},
+	} {
+		for _, d := range Drivers {
+			pools = append(pools, pool{p.name + "[" + string(d) + "]", p.byDriver[d]})
+		}
+	}
+	for _, p := range pools {
+		for _, s := range p.tpls {
+			if _, err := parseTemplate(s); err != nil {
+				t.Errorf("%s: %v", p.name, err)
+			}
+		}
+	}
+	for _, bad := range []string{"{ORG} merged.", "{} merged.", "{ORG1 merged.", "ORG1} merged."} {
+		if _, err := parseTemplate(bad); err == nil {
+			t.Errorf("parseTemplate(%q) accepted a malformed placeholder", bad)
+		}
+	}
+}
+
 func BenchmarkWorld(b *testing.B) {
 	cfg := Config{Seed: 20, RelevantPerDriver: 20, BackgroundDocs: 50, HardNegativePerDriver: 5}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewGenerator(cfg).World()

@@ -1,5 +1,10 @@
 package corpus
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Sentence templates. Placeholders are expanded by the generator:
 //
 //	{ORG1} {ORG2}   company names (ORG2 always differs from ORG1)
@@ -261,3 +266,117 @@ func PositivePhrases() []string { return append([]string(nil), positivePhrases..
 
 // NegativePhrases returns a copy of the negative orientation phrases.
 func NegativePhrases() []string { return append([]string(nil), negativePhrases...) }
+
+// slot is one placeholder of a parsed template; slotLiteral marks a
+// literal run of text.
+type slot uint8
+
+const (
+	slotLiteral slot = iota
+	slotORG1
+	slotORG2
+	slotPRSN
+	slotPRSN2
+	slotDESIG
+	slotCUR
+	slotPCT
+	slotPERIOD
+	slotQTR
+	slotYEAR
+	slotYEAR2
+	slotPLC
+	slotPROD
+	slotCNT
+	slotPOSPHRASE
+	slotNEGPHRASE
+)
+
+// slotNames maps each placeholder listed at the top of this file,
+// without its braces, to its slot.
+var slotNames = map[string]slot{
+	"ORG1": slotORG1, "ORG2": slotORG2, "PRSN": slotPRSN, "PRSN2": slotPRSN2,
+	"DESIG": slotDESIG, "CUR": slotCUR, "PCT": slotPCT, "PERIOD": slotPERIOD,
+	"QTR": slotQTR, "YEAR": slotYEAR, "YEAR2": slotYEAR2, "PLC": slotPLC,
+	"PROD": slotPROD, "CNT": slotCNT, "POSPHRASE": slotPOSPHRASE, "NEGPHRASE": slotNEGPHRASE,
+}
+
+// piece is one literal run or one placeholder of a parsed template.
+type piece struct {
+	slot slot
+	lit  string // the text of a slotLiteral piece
+}
+
+// template is a sentence template split into pieces, so a sentence is
+// written in one pass that formats only the placeholders it contains.
+type template []piece
+
+// parseTemplate splits s into literal and placeholder pieces. An
+// unknown placeholder, an unterminated "{" or a stray "}" is an error.
+func parseTemplate(s string) (template, error) {
+	var t template
+	for rest := s; rest != ""; {
+		i := strings.IndexAny(rest, "{}")
+		if i < 0 {
+			t = append(t, piece{lit: rest})
+			break
+		}
+		if rest[i] == '}' {
+			return nil, fmt.Errorf("corpus: stray '}' in template %q", s)
+		}
+		if i > 0 {
+			t = append(t, piece{lit: rest[:i]})
+		}
+		n := strings.IndexByte(rest[i:], '}')
+		if n < 0 {
+			return nil, fmt.Errorf("corpus: unterminated placeholder in template %q", s)
+		}
+		name := rest[i+1 : i+n]
+		sl, ok := slotNames[name]
+		if !ok {
+			return nil, fmt.Errorf("corpus: unknown placeholder {%s} in template %q", name, s)
+		}
+		t = append(t, piece{slot: sl})
+		rest = rest[i+n+1:]
+	}
+	return t, nil
+}
+
+// The parsed pools, built once at package init; the generator draws
+// from these by the same index it would draw from the string pools. A
+// template that does not parse panics here, before any world exists.
+var (
+	trainPool             = mustParsePools(trainTemplates)
+	heldoutPool           = mustParsePools(heldoutTemplates)
+	misleadingPool        = mustParsePools(misleadingTemplates)
+	misleadingHeldoutPool = mustParsePools(misleadingHeldout)
+	neutralPool           = mustParseAll(neutralBusinessTemplates)
+	noisePool             = mustParseAll(noiseTemplates)
+	boilerplatePool       = mustParseAll(boilerplateTemplates)
+)
+
+// mustParsePools parses per-driver pools, walking the ordered Drivers
+// slice; a pool keyed by any other driver panics rather than vanish.
+func mustParsePools(pools map[Driver][]string) map[Driver][]template {
+	out := make(map[Driver][]template, len(pools))
+	for _, d := range Drivers {
+		if tpls, ok := pools[d]; ok {
+			out[d] = mustParseAll(tpls)
+		}
+	}
+	if len(out) != len(pools) {
+		panic("corpus: a template pool is keyed by a driver outside Drivers")
+	}
+	return out
+}
+
+func mustParseAll(tpls []string) []template {
+	out := make([]template, len(tpls))
+	for i, s := range tpls {
+		t, err := parseTemplate(s)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = t
+	}
+	return out
+}

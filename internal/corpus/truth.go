@@ -82,7 +82,7 @@ func (g *Generator) BackgroundSnippets(n int) []LabeledSnippet {
 // would on the real Web.
 func (g *Generator) MisleadingSnippets(d Driver, n int) []LabeledSnippet {
 	draw := func() string {
-		if pool := misleadingHeldout[d]; len(pool) > 0 && g.rng.Float64() < 0.5 {
+		if pool := misleadingHeldoutPool[d]; len(pool) > 0 && g.rng.Float64() < 0.5 {
 			return g.fill(pool[g.rng.Intn(len(pool))], "")
 		}
 		return g.misleading(d).Text

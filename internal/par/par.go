@@ -1,7 +1,8 @@
 // Package par is the one bulk fan-out of the batch paths: HTML
-// rendering and page conversion, index bulk-loading, content hashing
-// and event extraction all spread index-addressed work across a
-// bounded worker pool through For.
+// rendering and page conversion, index bulk-loading, content hashing,
+// training-data annotation and feature extraction, and event
+// extraction all spread index-addressed work across a bounded worker
+// pool through For.
 package par
 
 import (

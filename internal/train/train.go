@@ -9,6 +9,7 @@ import (
 	"etap/internal/corpus"
 	"etap/internal/ner"
 	"etap/internal/obs"
+	"etap/internal/par"
 	"etap/internal/snippet"
 	"etap/internal/web"
 )
@@ -121,15 +122,15 @@ func (s Stats) String() string {
 // queries fetch top-k pages, pages are split into snippets, snippets are
 // annotated, and the entity filter distills the noisy positive set.
 // Duplicate snippet texts (the same page reached by several queries) are
-// kept once.
+// kept once. Pages are split and annotated on every core; the result
+// is the same for any GOMAXPROCS.
 func NoisyPositives(w *web.Web, ann *annotate.Annotator, spec Spec, cfg Config) ([]Snippet, Stats) {
 	cfg = cfg.withDefaults()
 	gen := snippet.Generator{N: cfg.SnippetN}
 
-	var out []Snippet
 	var stats Stats
+	var pages []*web.Page
 	seenPage := map[string]bool{}
-	seenText := map[string]bool{}
 	for _, q := range spec.SmartQueries {
 		stats.QueriesRun++
 		for _, page := range w.Search(q, cfg.TopK) {
@@ -137,22 +138,40 @@ func NoisyPositives(w *web.Web, ann *annotate.Annotator, spec Spec, cfg Config) 
 				continue
 			}
 			seenPage[page.URL] = true
-			stats.PagesFetched++
-			for _, sn := range gen.Split(page.URL, page.Text) {
-				stats.SnippetsSeen++
-				units := ann.Annotate(sn.Text)
-				if spec.Filter != nil && !spec.Filter(units) {
-					stats.SnippetsFiltered++
-					continue
-				}
-				key := strings.ToLower(sn.Text)
-				if seenText[key] {
-					stats.Duplicates++
-					continue
-				}
-				seenText[key] = true
-				out = append(out, Snippet{Text: sn.Text, URL: page.URL, Units: units})
+			pages = append(pages, page)
+		}
+	}
+	stats.PagesFetched = len(pages)
+
+	perPage := make([][]Snippet, len(pages))
+	par.For(0, len(pages), func(i int) {
+		page := pages[i]
+		snips := gen.Split(page.URL, page.Text)
+		annotated := make([]Snippet, len(snips))
+		for k, sn := range snips {
+			annotated[k] = Snippet{Text: sn.Text, URL: page.URL, Units: ann.Annotate(sn.Text)}
+		}
+		perPage[i] = annotated
+	})
+
+	// Filter and de-duplicate in query, rank and snippet order, so the
+	// first page to carry a text keeps it.
+	var out []Snippet
+	seenText := map[string]bool{}
+	for _, snips := range perPage {
+		for _, sn := range snips {
+			stats.SnippetsSeen++
+			if spec.Filter != nil && !spec.Filter(sn.Units) {
+				stats.SnippetsFiltered++
+				continue
 			}
+			key := strings.ToLower(sn.Text)
+			if seenText[key] {
+				stats.Duplicates++
+				continue
+			}
+			seenText[key] = true
+			out = append(out, sn)
 		}
 	}
 	stats.SnippetsKept = len(out)
@@ -166,7 +185,8 @@ func NoisyPositives(w *web.Web, ann *annotate.Annotator, spec Spec, cfg Config) 
 // Negatives draws n random snippets from the whole web — the negative
 // class ("we construct the negative class by randomly picking a large
 // number of snippets from the Web"). The same set can be reused across
-// drivers. Sampling is deterministic in seed.
+// drivers. Sampling is deterministic in seed; the sampled snippets are
+// annotated on every core afterwards.
 func Negatives(w *web.Web, ann *annotate.Annotator, n int, snippetN int, seed int64) []Snippet {
 	if snippetN <= 0 {
 		snippetN = snippet.DefaultN
@@ -192,8 +212,9 @@ func Negatives(w *web.Web, ann *annotate.Annotator, n int, snippetN int, seed in
 			continue
 		}
 		seen[key] = true
-		out = append(out, Snippet{Text: sn.Text, URL: page.URL, Units: ann.Annotate(sn.Text)})
+		out = append(out, Snippet{Text: sn.Text, URL: page.URL})
 	}
+	par.For(0, len(out), func(i int) { out[i].Units = ann.Annotate(out[i].Text) })
 	mNegatives.Add(uint64(len(out)))
 	return out
 }
