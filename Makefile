@@ -1,12 +1,13 @@
 # CI entry points. `make ci` is vet + build + lint + race-enabled
 # tests. The GitHub Actions workflow runs the same checks as separate
 # steps (go vet, go build, `make lint`, `make lint-bench`, go test
-# -race), then `make doccheck`, `make examples`, `make fmt-check` and
-# the benchmark module's vet and tests (`make bench-check`).
+# -race), then `make doccheck`, `make examples`, `make fmt-check`, the
+# benchmark module's vet and tests (`make bench-check`) and a
+# time-boxed pass of every fuzz target (`make fuzz`).
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race bench bench-check bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -56,6 +57,19 @@ bench:
 # tests and smoke-sized workloads here.
 bench-check:
 	cd etapbench && $(GO) vet ./... && $(GO) test ./...
+
+# Time-boxed fuzzing: every native `Fuzz*` target in the module runs
+# for 5 seconds on top of its seed corpus (testdata/fuzz). `go test
+# -fuzz` takes one target per run, so the targets are found by name. A
+# failing input is written to the package's testdata/fuzz directory,
+# ready to commit as a regression seed.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=etapbench --exclude-dir=.bench_build --exclude-dir=testdata '^func Fuzz' .); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz: $$name in $$(dirname $$f) for 5s"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s $$(dirname $$f); \
+		done; \
+	done
 
 # Index scaling harness: measures the segment engine against the
 # in-RAM baseline over a 50k-doc synthetic corpus — concurrent bulk add

@@ -47,11 +47,13 @@ func New(rec *ner.Recognizer) *Annotator {
 // Annotate tokenizes text, recognizes entities, collapses each entity
 // span into a single unit, and tags the remaining word tokens with their
 // coarse part-of-speech category. Punctuation and stray symbols are
-// dropped: they carry no signal for trigger-event classification.
+// dropped: they carry no signal for trigger-event classification. Each
+// token is lower-cased once, for the recognizer and the tagger alike.
 func (a *Annotator) Annotate(text string) []Unit {
 	tokens := textproc.Tokenize(text)
-	entities := a.rec.Recognize(tokens)
-	tagged := pos.TagTokens(tokens)
+	lowered := textproc.Lowered(tokens)
+	entities := a.rec.RecognizeLowered(tokens, lowered)
+	tags := pos.Tags(tokens, lowered)
 
 	units := make([]Unit, 0, len(tokens))
 	ei := 0
@@ -63,9 +65,8 @@ func (a *Annotator) Annotate(text string) []Unit {
 			ei++
 			continue
 		}
-		t := tagged[i]
-		if t.Token.Kind == textproc.KindWord {
-			units = append(units, Unit{Text: t.Token.Text, POS: t.Tag.Coarse()})
+		if tokens[i].Kind == textproc.KindWord {
+			units = append(units, Unit{Text: tokens[i].Text, POS: tags[i].Coarse()})
 		}
 		// numbers outside entities cannot occur (CNT catches them);
 		// punctuation and symbols are dropped.

@@ -112,6 +112,7 @@ func TestAnnotateGeneralizationExample(t *testing.T) {
 }
 
 func BenchmarkAnnotate(b *testing.B) {
+	b.ReportAllocs()
 	a := New(nil)
 	text := "IBM paid $160 million for Daksh on January 12, 2004 and Mr. Smith, the new CEO, praised the 10% growth in New York."
 	b.ResetTimer()

@@ -461,35 +461,53 @@ func (s *System) ExtractAllEvents(pages []*web.Page, threshold float64) []rank.E
 // ExtractAllEventsTraced is ExtractAllEvents contributing one
 // per-driver extraction span to the document trace carried by ctx —
 // a no-op without one, so the batch path pays nothing. The streaming
-// ingest worker (internal/alert) calls this form.
+// ingest worker (internal/alert) calls this form. Each page is split
+// and annotated once, in page order; every driver then scores the
+// same annotated snippets inside its span, so the events come out
+// driver-major exactly as one ExtractEvents call per driver would
+// return them.
 func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, threshold float64) []rank.Event {
 	ids := s.Drivers()
+	if len(ids) == 0 {
+		return nil
+	}
 	sort.Strings(ids)
+	if threshold <= 0 {
+		threshold = 0.5
+	}
+	gen := snippet.Generator{N: s.cfg.SnippetN}
+	annotated := make([][]annotatedSnippet, len(pages))
+	for i, page := range pages {
+		annotated[i] = s.annotatePage(gen, page)
+	}
 	var events []rank.Event
 	for _, id := range ids {
 		_, sp := obs.StartDSpan(ctx, "extract")
 		sp.SetAttr("driver", id)
-		evs, err := s.ExtractEvents(id, pages, threshold)
-		if err != nil {
-			// Drivers() only names trained drivers, so this cannot
-			// happen; guard anyway rather than drop events silently.
-			sp.Fail(err.Error())
-			sp.End()
-			continue
+		if s.met != nil {
+			s.met.runs.Inc()
 		}
-		sp.SetAttr("events", strconv.Itoa(len(evs)))
+		before := len(events)
+		for _, snips := range annotated {
+			events = append(events, s.scoreSnippets(s.drivers[id], id, snips, threshold)...)
+		}
+		sp.SetAttr("events", strconv.Itoa(len(events)-before))
 		sp.End()
-		events = append(events, evs...)
 	}
 	return events
 }
 
-// scorePage splits one page into snippets and scores each against the
-// driver classifier — the per-page unit of work of
-// ExtractEventsParallel. When metrics are enabled it
-// attributes wall time to the snippet/annotate/classify stages and
-// counts snippets scored and events emitted.
-func (s *System) scorePage(td *trainedDriver, driverID string, gen snippet.Generator, page *web.Page, threshold float64) []rank.Event {
+// annotatedSnippet is a snippet with its annotation: what every
+// driver's classifier scores.
+type annotatedSnippet struct {
+	snippet.Snippet
+	units []annotate.Unit
+}
+
+// annotatePage splits one page into snippets and annotates each — the
+// driver-independent half of extraction. When metrics are enabled it
+// attributes wall time to the snippet and annotate stages.
+func (s *System) annotatePage(gen snippet.Generator, page *web.Page) []annotatedSnippet {
 	m := s.met
 	var t time.Time
 	if m != nil {
@@ -499,18 +517,33 @@ func (s *System) scorePage(td *trainedDriver, driverID string, gen snippet.Gener
 	if m != nil {
 		m.snippetDur.Observe(time.Since(t).Seconds())
 	}
-	var events []rank.Event
-	for _, sn := range snips {
+	out := make([]annotatedSnippet, len(snips))
+	for i, sn := range snips {
 		if m != nil {
 			t = time.Now()
 		}
-		units := s.ann.Annotate(sn.Text)
+		out[i] = annotatedSnippet{Snippet: sn, units: s.ann.Annotate(sn.Text)}
 		if m != nil {
-			now := time.Now()
-			m.annotateDur.Observe(now.Sub(t).Seconds())
-			t = now
+			m.annotateDur.Observe(time.Since(t).Seconds())
 		}
-		x := feature.Vectorize(td.vocab, feature.Extract(units, td.policy), false)
+	}
+	return out
+}
+
+// scoreSnippets scores annotated snippets against one driver's
+// classifier; those at or above threshold become trigger events. The
+// subject company is the first ORG entity in the snippet (when any).
+// When metrics are enabled it attributes wall time to the classify
+// stage and counts snippets scored and events emitted.
+func (s *System) scoreSnippets(td *trainedDriver, driverID string, snips []annotatedSnippet, threshold float64) []rank.Event {
+	m := s.met
+	var events []rank.Event
+	for _, sn := range snips {
+		var t time.Time
+		if m != nil {
+			t = time.Now()
+		}
+		x := feature.Vectorize(td.vocab, feature.Extract(sn.units, td.policy), false)
 		p := td.clf.Prob(x)
 		if m != nil {
 			m.classifyDur.Observe(time.Since(t).Seconds())
@@ -527,7 +560,7 @@ func (s *System) scorePage(td *trainedDriver, driverID string, gen snippet.Gener
 			Text:      sn.Text,
 			Driver:    driverID,
 			Score:     p,
-			Company:   firstOrg(units),
+			Company:   firstOrg(sn.units),
 		}
 		if td.spec.Orientation != nil {
 			ev.Orientation = td.spec.Orientation.Score(sn.Text)

@@ -38,7 +38,7 @@ func (s *System) ExtractEventsParallel(driverID string, pages []*web.Page, thres
 			m.queueDepth.Dec()
 			m.workersBusy.Inc()
 		}
-		perPage[i] = s.scorePage(td, driverID, gen, pages[i], threshold)
+		perPage[i] = s.scoreSnippets(td, driverID, s.annotatePage(gen, pages[i]), threshold)
 		if m != nil {
 			m.workersBusy.Dec()
 		}

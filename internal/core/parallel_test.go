@@ -3,9 +3,13 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"etap/internal/corpus"
+	"etap/internal/obs"
+	"etap/internal/rank"
+	"etap/internal/snippet"
 	"etap/internal/train"
 	"etap/internal/web"
 )
@@ -39,6 +43,52 @@ func TestExtractEventsParallelMatchesSequential(t *testing.T) {
 					workers, i, par[i], seq[i])
 			}
 		}
+	}
+}
+
+// TestExtractAllEventsAnnotatesOnce checks that ExtractAllEvents, which
+// annotates each page once for every driver, returns exactly the
+// concatenation of one ExtractEvents call per driver in sorted order,
+// and that the annotate stage saw each snippet once, not once per
+// driver.
+func TestExtractAllEventsAnnotatesOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := newFixture(t, 49, Config{Seed: 49, Metrics: reg})
+	for _, d := range corpus.Drivers {
+		f.addDriver(t, d, 10)
+	}
+	var pages []*web.Page
+	snippets := 0
+	for _, d := range f.docs[:120] {
+		p, ok := f.web.Page(d.URL)
+		if !ok {
+			t.Fatalf("page %s missing", d.URL)
+		}
+		pages = append(pages, p)
+		snippets += len(snippet.Generator{}.Split(p.URL, p.Text))
+	}
+	ids := f.sys.Drivers()
+	sort.Strings(ids)
+	var want []rank.Event
+	for _, id := range ids {
+		evs, err := f.sys.ExtractEvents(id, pages, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, evs...)
+	}
+	annotated := obs.StageDuration(reg, "annotate")
+	before := annotated.Count()
+	got := f.sys.ExtractAllEvents(pages, 0.5)
+	if len(want) == 0 {
+		t.Fatal("no events: the comparison proves nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ExtractAllEvents returned %d events, per-driver ExtractEvents %d, or they differ",
+			len(got), len(want))
+	}
+	if n := annotated.Count() - before; n != uint64(snippets) {
+		t.Errorf("annotate stage observed %d snippets, want %d (each once)", n, snippets)
 	}
 }
 
@@ -138,6 +188,7 @@ func TestTrainingIdenticalAcrossGOMAXPROCS(t *testing.T) {
 }
 
 func BenchmarkExtractEventsSequential(b *testing.B) {
+	b.ReportAllocs()
 	f := newFixture(b, 45, Config{Seed: 45})
 	f.addDriver(b, corpus.ChangeInManagement, 10)
 	id := string(corpus.ChangeInManagement)
@@ -156,6 +207,7 @@ func BenchmarkExtractEventsSequential(b *testing.B) {
 }
 
 func BenchmarkExtractEventsParallel(b *testing.B) {
+	b.ReportAllocs()
 	f := newFixture(b, 45, Config{Seed: 45})
 	f.addDriver(b, corpus.ChangeInManagement, 10)
 	id := string(corpus.ChangeInManagement)

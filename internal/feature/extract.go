@@ -1,6 +1,8 @@
 package feature
 
 import (
+	"strings"
+
 	"etap/internal/annotate"
 	"etap/internal/ner"
 	"etap/internal/pos"
@@ -46,7 +48,19 @@ func BagOfWordsPolicy() Policy {
 //   - Stop words never become IV features.
 func Extract(units []annotate.Unit, p Policy) []string {
 	out := make([]string, 0, len(units))
-	seenPA := map[string]bool{}
+	// pa holds the indices in out of the PA features emitted so far —
+	// at most one per category, so a scan beats a map.
+	var paBuf [16]int
+	pa := paBuf[:0]
+	addPA := func(prefix, name string) {
+		for _, k := range pa {
+			if rest, ok := strings.CutPrefix(out[k], prefix); ok && rest == name {
+				return
+			}
+		}
+		pa = append(pa, len(out))
+		out = append(out, prefix+name)
+	}
 	for _, u := range units {
 		if u.IsEntity() {
 			rep, ok := p[EntityCategory(u.Entity)]
@@ -55,11 +69,7 @@ func Extract(units []annotate.Unit, p Policy) []string {
 			}
 			switch rep {
 			case RepPA:
-				f := "ENT=" + string(u.Entity)
-				if !seenPA[f] {
-					seenPA[f] = true
-					out = append(out, f)
-				}
+				addPA("ENT=", string(u.Entity))
 			case RepIV:
 				out = append(out, string(u.Entity)+"="+u.Lower())
 			}
@@ -71,11 +81,7 @@ func Extract(units []annotate.Unit, p Policy) []string {
 		}
 		switch rep {
 		case RepPA:
-			f := "POS=" + string(u.POS)
-			if !seenPA[f] {
-				seenPA[f] = true
-				out = append(out, f)
-			}
+			addPA("POS=", string(u.POS))
 		case RepIV:
 			w := u.Lower()
 			if textproc.IsStopword(w) {

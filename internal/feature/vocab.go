@@ -2,7 +2,7 @@ package feature
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Vocab is a bijective mapping between feature strings and dense integer
@@ -66,25 +66,32 @@ type Vector []Term
 // is true unknown features are added to the vocabulary; otherwise they
 // are silently skipped (the correct behaviour at inference time).
 func Vectorize(v *Vocab, feats []string, grow bool) Vector {
-	counts := make(map[int]float64, len(feats))
+	ids := make([]int, 0, len(feats))
 	for _, f := range feats {
-		var id int
 		if grow {
-			id = v.ID(f)
-		} else {
-			var ok bool
-			id, ok = v.Lookup(f)
-			if !ok {
-				continue
-			}
+			ids = append(ids, v.ID(f))
+		} else if id, ok := v.Lookup(f); ok {
+			ids = append(ids, id)
 		}
-		counts[id]++
 	}
-	out := make(Vector, 0, len(counts))
-	for id, c := range counts {
-		out = append(out, Term{ID: id, W: c})
+	// Sorting the ids puts repeats side by side: each run is one term
+	// whose weight is the run length.
+	slices.Sort(ids)
+	terms := 0
+	for i := range ids {
+		if i == 0 || ids[i] != ids[i-1] {
+			terms++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make(Vector, 0, terms)
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		out = append(out, Term{ID: ids[i], W: float64(j - i)})
+		i = j
+	}
 	return out
 }
 

@@ -91,7 +91,7 @@ func ExtractText(html string) string {
 
 // Title returns the contents of the first <title> element.
 func Title(html string) string {
-	lower := strings.ToLower(html)
+	lower := lowerASCII(html)
 	start := strings.Index(lower, "<title")
 	if start < 0 {
 		return ""
@@ -101,7 +101,7 @@ func Title(html string) string {
 		return ""
 	}
 	rest := html[start+open+1:]
-	end := strings.Index(strings.ToLower(rest), "</title>")
+	end := strings.Index(lower[start+open+1:], "</title>")
 	if end < 0 {
 		return ""
 	}
@@ -112,7 +112,7 @@ func Title(html string) string {
 // order, skipping fragments and javascript links.
 func ExtractLinks(html string) []string {
 	var out []string
-	lower := strings.ToLower(html)
+	lower := lowerASCII(html)
 	i := 0
 	for {
 		a := strings.Index(lower[i:], "<a")
@@ -140,7 +140,7 @@ func ExtractLinks(html string) []string {
 // single or double quotes, or bare). The attribute name must start at a
 // word boundary so "href" does not match inside "nohref".
 func attr(tag, name string) string {
-	lower := strings.ToLower(tag)
+	lower := lowerASCII(tag)
 	idx := -1
 	for from := 0; ; {
 		i := strings.Index(lower[from:], name+"=")
@@ -172,6 +172,21 @@ func attr(tag, name string) string {
 		}
 		return strings.TrimSuffix(rest[:end], "/")
 	}
+}
+
+// lowerASCII lower-cases the ASCII letters of s and leaves every other
+// byte alone. The searches above look for ASCII markup and slice the
+// original string at the offsets they find, so the lowered copy must
+// keep every byte where it was; strings.ToLower does not (it widens
+// each invalid byte to U+FFFD and changes the length of some runes).
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // tagName parses a raw tag body into its lower-case element name and

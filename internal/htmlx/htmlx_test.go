@@ -107,6 +107,22 @@ func TestExtractLinks(t *testing.T) {
 	}
 }
 
+// TestOffsetsSurviveNonASCII covers input whose lower-cased form has a
+// different byte length: invalid UTF-8 (each bad byte would widen to
+// U+FFFD) and the Kelvin sign (which lower-cases to one byte). Markup
+// must still be found at the right offsets, with no panic.
+func TestOffsetsSurviveNonASCII(t *testing.T) {
+	for _, prefix := range []string{"\xff\xfe", "\u212a\u212a", "\xd9\xd9\xd9\xd9"} {
+		html := prefix + "<HTML><TITLE>Acme</TITLE><A HREF='/x'>x</A><a title=\xff href=\"/y\">y</a>"
+		if got := Title(html); got != "Acme" {
+			t.Errorf("Title(%q) = %q, want Acme", html, got)
+		}
+		if got := ExtractLinks(html); len(got) != 2 || got[0] != "/x" || got[1] != "/y" {
+			t.Errorf("ExtractLinks(%q) = %q, want [/x /y]", html, got)
+		}
+	}
+}
+
 func TestAttrQuoting(t *testing.T) {
 	cases := map[string]string{
 		`a href="x y"`: "x y",

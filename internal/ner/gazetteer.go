@@ -58,6 +58,37 @@ outer:
 	return 0
 }
 
+// wordBits is the set of gazetteer roles a lower-cased word plays: one
+// bit per word set, plus one bit per phrase table with a phrase that
+// starts with the word.
+type wordBits uint16
+
+const (
+	knownOrg          wordBits = 1 << iota // full org name ("ibm")
+	companyCore                            // single-token company core
+	orgSuffix                              // corporate suffix ("inc")
+	firstName                              // given name
+	lastName                               // surname
+	month                                  // month name
+	weekday                                // weekday name
+	magnitude                              // "million", "billion", ...
+	currencyWord                           // "dollars", "euros", ...
+	startsDesignation                      // first word of a designation phrase
+	startsPlace                            // first word of a place phrase
+	startsProduct                          // first word of a product phrase
+	startsObject                           // first word of an object phrase
+	startsLengthUnit                       // first word of a length-unit phrase
+)
+
+// magnitudes and currencyWords are the recognizer's own word lists for
+// currency amounts ("5 million dollars"); they feed the magnitude and
+// currencyWord bits.
+var magnitudes = []string{"million", "billion", "trillion", "thousand", "crore", "lakh"}
+
+var currencyWords = []string{
+	"dollars", "dollar", "euros", "euro", "pounds", "rupees", "yen", "usd", "cents",
+}
+
 // gazetteers bundles every lookup structure the recognizer needs.
 type gazetteers struct {
 	designations *phraseTable
@@ -66,36 +97,53 @@ type gazetteers struct {
 	objects      *phraseTable
 	lengthUnits  *phraseTable
 
-	knownOrgs    map[string]bool // lower-cased full org names
-	companyCores map[string]bool // lower-cased single-token cores
-	orgSuffixes  map[string]bool // lower-cased corporate suffixes
-	firstNames   map[string]bool
-	lastNames    map[string]bool
-	months       map[string]bool
-	weekdays     map[string]bool
-}
-
-func toSet(words []string) map[string]bool {
-	m := make(map[string]bool, len(words))
-	for _, w := range words {
-		m[strings.ToLower(w)] = true
-	}
-	return m
+	// words maps a lower-cased word to every role it plays, so the
+	// recognizer probes one map once per token position instead of
+	// one map per role; a phrase table is probed only when the word's
+	// bit says one of its phrases starts there.
+	words map[string]wordBits
 }
 
 func defaultGazetteers() *gazetteers {
-	return &gazetteers{
+	g := &gazetteers{
 		designations: newPhraseTable(DESIG, gazetteer.Designations),
 		places:       newPhraseTable(PLC, gazetteer.Places),
 		products:     newPhraseTable(PROD, gazetteer.Products),
 		objects:      newPhraseTable(OBJ, gazetteer.Objects),
 		lengthUnits:  newPhraseTable(LNGTH, gazetteer.LengthUnits),
-		knownOrgs:    toSet(gazetteer.KnownOrgs),
-		companyCores: toSet(gazetteer.CompanyCores),
-		orgSuffixes:  toSet(gazetteer.CompanySuffixes),
-		firstNames:   toSet(gazetteer.FirstNames),
-		lastNames:    toSet(gazetteer.LastNames),
-		months:       toSet(gazetteer.Months),
-		weekdays:     toSet(gazetteer.Weekdays),
+		words:        make(map[string]wordBits),
 	}
+	for _, set := range []struct {
+		bit   wordBits
+		words []string
+	}{
+		{knownOrg, gazetteer.KnownOrgs},
+		{companyCore, gazetteer.CompanyCores},
+		{orgSuffix, gazetteer.CompanySuffixes},
+		{firstName, gazetteer.FirstNames},
+		{lastName, gazetteer.LastNames},
+		{month, gazetteer.Months},
+		{weekday, gazetteer.Weekdays},
+		{magnitude, magnitudes},
+		{currencyWord, currencyWords},
+	} {
+		for _, w := range set.words {
+			g.words[strings.ToLower(w)] |= set.bit
+		}
+	}
+	for _, t := range []struct {
+		bit   wordBits
+		table *phraseTable
+	}{
+		{startsDesignation, g.designations},
+		{startsPlace, g.places},
+		{startsProduct, g.products},
+		{startsObject, g.objects},
+		{startsLengthUnit, g.lengthUnits},
+	} {
+		for first := range t.table.byFirst {
+			g.words[first] |= t.bit
+		}
+	}
+	return g
 }

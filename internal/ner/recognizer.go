@@ -3,7 +3,6 @@ package ner
 import (
 	"hash/fnv"
 	"strconv"
-	"strings"
 	"unicode"
 
 	"etap/internal/textproc"
@@ -52,11 +51,15 @@ func NewRecognizer(opts ...Option) *Recognizer {
 // longest match wins; numeric patterns outrank gazetteer lookups so that
 // "$5 million" is CURRENCY rather than a CNT followed by words.
 func (r *Recognizer) Recognize(tokens []textproc.Token) []Entity {
-	lowered := make([]string, len(tokens))
-	for i, t := range tokens {
-		lowered[i] = strings.ToLower(t.Text)
-	}
+	return r.RecognizeLowered(tokens, textproc.Lowered(tokens))
+}
 
+// RecognizeLowered is Recognize for a caller that has already
+// lower-cased every token, as textproc.Lowered does: lowered[i] must be
+// strings.ToLower(tokens[i].Text). The annotator lower-cases each
+// snippet's tokens once and shares the slice with the part-of-speech
+// tagger.
+func (r *Recognizer) RecognizeLowered(tokens []textproc.Token, lowered []string) []Entity {
 	var out []Entity
 	i := 0
 	for i < len(tokens) {
@@ -104,7 +107,10 @@ func (r *Recognizer) dropped(e Entity) bool {
 }
 
 // matchAt tries every matcher at position i, highest priority first.
+// The gazetteer map is probed once for the word at i; matchers look
+// further ahead only after cheaper tests pass.
 func (r *Recognizer) matchAt(tokens []textproc.Token, lowered []string, i int) (Category, int) {
+	b := r.gaz.words[lowered[i]]
 	if span := r.matchCurrency(tokens, lowered, i); span > 0 {
 		return CURRENCY, span
 	}
@@ -117,7 +123,7 @@ func (r *Recognizer) matchAt(tokens []textproc.Token, lowered []string, i int) (
 	if span := r.matchTime(tokens, lowered, i); span > 0 {
 		return TIM, span
 	}
-	if span := r.matchPeriod(tokens, lowered, i); span > 0 {
+	if span := r.matchPeriod(tokens, lowered, i, b); span > 0 {
 		return PERIOD, span
 	}
 	if span := r.matchYear(tokens, i); span > 0 {
@@ -126,51 +132,54 @@ func (r *Recognizer) matchAt(tokens []textproc.Token, lowered []string, i int) (
 	if span := r.matchCount(tokens, i); span > 0 {
 		return CNT, span
 	}
-	if span := r.gaz.designations.match(lowered, i); span > 0 {
-		return DESIG, span
+	if b&startsDesignation != 0 {
+		if span := r.gaz.designations.match(lowered, i); span > 0 {
+			return DESIG, span
+		}
 	}
-	if span := r.matchOrg(tokens, lowered, i); span > 0 {
+	if span := r.matchOrg(tokens, lowered, i, b); span > 0 {
 		return ORG, span
 	}
-	if span := r.gaz.products.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
-		return PROD, span
+	if b&startsProduct != 0 {
+		if span := r.gaz.products.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
+			return PROD, span
+		}
 	}
-	if span := r.gaz.objects.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
-		return OBJ, span
+	if b&startsObject != 0 {
+		if span := r.gaz.objects.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
+			return OBJ, span
+		}
 	}
-	if span := r.matchPerson(tokens, lowered, i); span > 0 {
+	if span := r.matchPerson(tokens, lowered, i, b); span > 0 {
 		return PRSN, span
 	}
-	if span := r.gaz.places.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
-		return PLC, span
+	if b&startsPlace != 0 {
+		if span := r.gaz.places.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
+			return PLC, span
+		}
 	}
 	return "", 0
 }
 
 // --- numeric patterns -------------------------------------------------
 
-var magnitudes = map[string]bool{
-	"million": true, "billion": true, "trillion": true,
-	"thousand": true, "crore": true, "lakh": true, "m": false, "bn": false,
+func isCurrencySymbol(s string) bool {
+	switch s {
+	case "$", "€", "£", "¥":
+		return true
+	}
+	return false
 }
-
-var currencyWords = map[string]bool{
-	"dollars": true, "dollar": true, "euros": true, "euro": true,
-	"pounds": true, "rupees": true, "yen": true, "usd": true,
-	"cents": true,
-}
-
-var currencySymbols = map[string]bool{"$": true, "€": true, "£": true, "¥": true}
 
 // matchCurrency matches "$5", "$5.2 million", "5 million dollars",
 // "160 million USD".
 func (r *Recognizer) matchCurrency(tokens []textproc.Token, lowered []string, i int) int {
 	n := len(tokens)
 	// Symbol-led: $ NUMBER [magnitude]
-	if currencySymbols[tokens[i].Text] {
+	if isCurrencySymbol(tokens[i].Text) {
 		if i+1 < n && tokens[i+1].IsNumber() {
 			span := 2
-			if i+2 < n && magnitudes[lowered[i+2]] {
+			if i+2 < n && r.gaz.words[lowered[i+2]]&magnitude != 0 {
 				span = 3
 			}
 			return span
@@ -180,10 +189,10 @@ func (r *Recognizer) matchCurrency(tokens []textproc.Token, lowered []string, i 
 	// Number-led: NUMBER [magnitude] currencyWord
 	if tokens[i].IsNumber() {
 		j := i + 1
-		if j < n && magnitudes[lowered[j]] {
+		if j < n && r.gaz.words[lowered[j]]&magnitude != 0 {
 			j++
 		}
-		if j < n && currencyWords[lowered[j]] {
+		if j < n && r.gaz.words[lowered[j]]&currencyWord != 0 {
 			return j - i + 1
 		}
 	}
@@ -216,6 +225,9 @@ func (r *Recognizer) matchLength(tokens []textproc.Token, lowered []string, i in
 		return 0
 	}
 	if i+1 >= len(tokens) {
+		return 0
+	}
+	if r.gaz.words[lowered[i+1]]&startsLengthUnit == 0 {
 		return 0
 	}
 	if span := r.gaz.lengthUnits.match(lowered, i+1); span > 0 {
@@ -256,11 +268,11 @@ func isMeridiem(w string) bool {
 // matchPeriod matches calendar expressions: "January 12, 2004",
 // "January 2004", "January", "Monday", "Q4", "fourth quarter",
 // "first half", "last year", "next quarter", "previous quarter".
-func (r *Recognizer) matchPeriod(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchPeriod(tokens []textproc.Token, lowered []string, i int, b wordBits) int {
 	n := len(tokens)
 	w := lowered[i]
 
-	if r.gaz.months[w] && isCap(tokens[i].Text) {
+	if b&month != 0 && isCap(tokens[i].Text) {
 		span := 1
 		j := i + 1
 		// optional day number
@@ -279,7 +291,7 @@ func (r *Recognizer) matchPeriod(tokens []textproc.Token, lowered []string, i in
 		}
 		return span
 	}
-	if r.gaz.weekdays[w] && isCap(tokens[i].Text) {
+	if b&weekday != 0 && isCap(tokens[i].Text) {
 		return 1
 	}
 	// Q1..Q4, optionally followed by a year ("Q4 2004").
@@ -344,9 +356,9 @@ func (r *Recognizer) matchCount(tokens []textproc.Token, i int) int {
 //  2. one or two capitalized tokens followed by a corporate suffix
 //     ("Brellvane Inc", "Silverlake Capital Group" — suffix run absorbed);
 //  3. a bare gazetteer company core ("Halcyon").
-func (r *Recognizer) matchOrg(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchOrg(tokens []textproc.Token, lowered []string, i int, b wordBits) int {
 	n := len(tokens)
-	if r.gaz.knownOrgs[lowered[i]] && isCap(tokens[i].Text) {
+	if b&knownOrg != 0 && isCap(tokens[i].Text) {
 		return 1
 	}
 	if !isCap(tokens[i].Text) || !tokens[i].IsWord() {
@@ -362,21 +374,21 @@ func (r *Recognizer) matchOrg(tokens []textproc.Token, lowered []string, i int) 
 	// Capitalized run followed by suffix token(s).
 	j := i
 	for j < n && tokens[j].IsWord() && isCap(tokens[j].Text) && j-i < 3 {
-		if r.gaz.orgSuffixes[lowered[j]] && j > i {
+		if j > i && r.gaz.words[lowered[j]]&orgSuffix != 0 {
 			// absorb a second suffix ("Holdings Ltd")
 			k := j + 1
-			if k < n && tokens[k].IsWord() && r.gaz.orgSuffixes[lowered[k]] {
+			if k < n && tokens[k].IsWord() && r.gaz.words[lowered[k]]&orgSuffix != 0 {
 				k++
 			}
 			return k - i
 		}
 		j++
 	}
-	if j < n && tokens[j].IsWord() && r.gaz.orgSuffixes[lowered[j]] && j > i && j-i <= 3 {
+	if j < n && j > i && j-i <= 3 && tokens[j].IsWord() && r.gaz.words[lowered[j]]&orgSuffix != 0 {
 		return j - i + 1
 	}
 	// Bare known core.
-	if r.gaz.companyCores[lowered[i]] {
+	if b&companyCore != 0 {
 		return 1
 	}
 	return 0
@@ -387,7 +399,7 @@ func (r *Recognizer) matchOrg(tokens []textproc.Token, lowered []string, i int) 
 //  2. FirstName [Initial.] LastName;
 //  3. FirstName + unknown capitalized token (recognizer generalization);
 //  4. bare FirstName LastName pairs from the gazetteer.
-func (r *Recognizer) matchPerson(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchPerson(tokens []textproc.Token, lowered []string, i int, b wordBits) int {
 	n := len(tokens)
 	if isHonorific(lowered[i]) && isCap(tokens[i].Text) {
 		j := i + 1
@@ -409,7 +421,7 @@ func (r *Recognizer) matchPerson(tokens []textproc.Token, lowered []string, i in
 		return 0
 	}
 
-	if !r.gaz.firstNames[lowered[i]] || !isCap(tokens[i].Text) {
+	if b&firstName == 0 || !isCap(tokens[i].Text) {
 		return 0
 	}
 	j := i + 1
@@ -419,13 +431,11 @@ func (r *Recognizer) matchPerson(tokens []textproc.Token, lowered []string, i in
 		j += 2
 	}
 	if j < n && tokens[j].IsWord() && isCap(tokens[j].Text) {
-		lw := lowered[j]
 		// Known surname, or any unknown capitalized token that is not
 		// itself an org/place/etc. (generalization with realistic
 		// over-triggering).
-		if r.gaz.lastNames[lw] ||
-			(!r.gaz.knownOrgs[lw] && !r.gaz.companyCores[lw] &&
-				!r.gaz.orgSuffixes[lw] && !r.gaz.months[lw]) {
+		if lb := r.gaz.words[lowered[j]]; lb&lastName != 0 ||
+			lb&(knownOrg|companyCore|orgSuffix|month) == 0 {
 			return j - i + 1
 		}
 	}

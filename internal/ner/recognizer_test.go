@@ -248,6 +248,7 @@ func TestRecognizePropertyNonOverlap(t *testing.T) {
 }
 
 func BenchmarkRecognize(b *testing.B) {
+	b.ReportAllocs()
 	r := NewRecognizer()
 	toks := textproc.Tokenize("IBM paid $160 million for Daksh on January 12, 2004 and Mr. Smith, the new CEO, praised the 10% growth in New York.")
 	b.ResetTimer()

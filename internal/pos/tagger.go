@@ -17,12 +17,44 @@ type TaggedToken struct {
 // follows the QTag recipe: (1) lexicon lookup, (2) morphological suffix
 // guess for unknown words, (3) a left-to-right contextual repair pass.
 func TagTokens(tokens []textproc.Token) []TaggedToken {
+	// Inputs up to the buffers' size keep their lowered forms and tags
+	// on the stack, so the wrapper allocates only what it returns and
+	// the lower-cased strings.
+	var lbuf [64]string
+	var tbuf [64]Tag
+	lowered, tags := lbuf[:0], tbuf[:0]
+	if len(tokens) > len(lbuf) {
+		lowered, tags = make([]string, 0, len(tokens)), make([]Tag, 0, len(tokens))
+	}
+	for _, t := range tokens {
+		lowered = append(lowered, strings.ToLower(t.Text))
+	}
+	tags = tags[:len(tokens)]
+	tagInto(tokens, lowered, tags)
 	out := make([]TaggedToken, len(tokens))
 	for i, tok := range tokens {
-		out[i] = TaggedToken{Token: tok, Tag: initialTag(tok, i == 0)}
+		out[i] = TaggedToken{Token: tok, Tag: tags[i]}
 	}
-	repair(out)
 	return out
+}
+
+// Tags is TagTokens for a caller that has already lower-cased every
+// token, as textproc.Lowered does: lowered[i] must be
+// strings.ToLower(tokens[i].Text). It returns only the tags, in token
+// order, so the annotator neither copies tokens nor lower-cases them
+// again.
+func Tags(tokens []textproc.Token, lowered []string) []Tag {
+	tags := make([]Tag, len(tokens))
+	tagInto(tokens, lowered, tags)
+	return tags
+}
+
+// tagInto writes the tag of tokens[i] to tags[i].
+func tagInto(tokens []textproc.Token, lowered []string, tags []Tag) {
+	for i, tok := range tokens {
+		tags[i] = initialTag(tok, lowered[i], i == 0)
+	}
+	repair(lowered, tags)
 }
 
 // TagText tokenizes and tags text in one call.
@@ -30,8 +62,9 @@ func TagText(text string) []TaggedToken {
 	return TagTokens(textproc.Tokenize(text))
 }
 
-// initialTag assigns the context-free tag of a single token.
-func initialTag(tok textproc.Token, sentenceInitial bool) Tag {
+// initialTag assigns the context-free tag of a single token; lower is
+// its lower-cased text.
+func initialTag(tok textproc.Token, lower string, sentenceInitial bool) Tag {
 	switch tok.Kind {
 	case textproc.KindNumber:
 		return TagCD
@@ -44,7 +77,6 @@ func initialTag(tok textproc.Token, sentenceInitial bool) Tag {
 		return TagPct
 	}
 
-	lower := strings.ToLower(tok.Text)
 	if t, ok := lexicon[lower]; ok {
 		// Capitalized lexicon word mid-sentence is still a proper noun
 		// candidate only when the lexicon calls it a noun; keep closed
@@ -120,59 +152,59 @@ func suffixGuess(w string) Tag {
 }
 
 // repair applies contextual repair rules left to right, resolving the
-// systematic ambiguities the context-free pass leaves behind.
-func repair(toks []TaggedToken) {
-	for i := range toks {
-		cur := &toks[i]
-		var prev, next *TaggedToken
+// systematic ambiguities the context-free pass leaves behind. lowered
+// holds the tokens' lower-cased texts; tags is edited in place.
+func repair(lowered []string, tags []Tag) {
+	for i := range tags {
+		cur := tags[i]
+		var prev, next Tag // "" when absent: no rule tests for it
 		if i > 0 {
-			prev = &toks[i-1]
+			prev = tags[i-1]
 		}
-		if i+1 < len(toks) {
-			next = &toks[i+1]
+		if i+1 < len(tags) {
+			next = tags[i+1]
 		}
 
 		switch {
 		// Lexicon verb inflections: derive vbz/vbd/vbg for known base verbs.
-		case cur.Tag == TagNNS && prev != nil &&
-			(prev.Tag == TagNP || prev.Tag == TagNN || prev.Tag == TagPRP || prev.Tag == TagNNS):
+		case cur == TagNNS && (prev == TagNP || prev == TagNN || prev == TagPRP || prev == TagNNS):
 			// "company acquires", "it grows": 3sg verb after subject — but
 			// only when the word's stem is a known verb.
-			if base, ok := strip3sg(cur.Token.Lower()); ok && lexicon[base] == TagVB {
-				cur.Tag = TagVBZ
+			if base, ok := strip3sg(lowered[i]); ok && lexicon[base] == TagVB {
+				tags[i] = TagVBZ
 			}
 
 		// "to" + base-form verb: infinitive.
-		case prev != nil && prev.Tag == TagTO:
-			if lexicon[cur.Token.Lower()] == TagVB {
-				cur.Tag = TagVB
-			} else if cur.Tag == TagNN && isKnownVerbForm(cur.Token.Lower()) {
-				cur.Tag = TagVB
+		case prev == TagTO:
+			if lexicon[lowered[i]] == TagVB {
+				tags[i] = TagVB
+			} else if cur == TagNN && isKnownVerbForm(lowered[i]) {
+				tags[i] = TagVB
 			}
 
 		// Modal + anything verb-ish → base verb.
-		case prev != nil && prev.Tag == TagMD && (cur.Tag == TagNN || cur.Tag == TagNNS):
-			if isKnownVerbForm(cur.Token.Lower()) {
-				cur.Tag = TagVB
+		case prev == TagMD && (cur == TagNN || cur == TagNNS):
+			if isKnownVerbForm(lowered[i]) {
+				tags[i] = TagVB
 			}
 
 		// Determiner/adjective + vbd/vbg → adjective or noun use:
 		// "the combined company", "a leading provider".
-		case (cur.Tag == TagVBD || cur.Tag == TagVBG) && prev != nil &&
-			(prev.Tag == TagDT || prev.Tag == TagJJ || prev.Tag == TagPPS):
-			if next != nil && (next.Tag == TagNN || next.Tag == TagNNS || next.Tag == TagNP) {
-				cur.Tag = TagJJ // participial modifier
+		case (cur == TagVBD || cur == TagVBG) &&
+			(prev == TagDT || prev == TagJJ || prev == TagPPS):
+			if next == TagNN || next == TagNNS || next == TagNP {
+				tags[i] = TagJJ // participial modifier
 			} else {
-				cur.Tag = TagNN // nominalized ("the filing")
+				tags[i] = TagNN // nominalized ("the filing")
 			}
 
 		// have/has/had + vbd → past participle.
-		case cur.Tag == TagVBD && prev != nil && isPerfectAux(prev.Token.Lower()):
-			cur.Tag = TagVBN
+		case cur == TagVBD && i > 0 && isPerfectAux(lowered[i-1]):
+			tags[i] = TagVBN
 
 		// is/are/was/were + vbd → passive participle.
-		case cur.Tag == TagVBD && prev != nil && isBeAux(prev.Token.Lower()):
-			cur.Tag = TagVBN
+		case cur == TagVBD && i > 0 && isBeAux(lowered[i-1]):
+			tags[i] = TagVBN
 		}
 	}
 }

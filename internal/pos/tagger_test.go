@@ -189,6 +189,7 @@ func TestTagSentenceInitialVerb(t *testing.T) {
 }
 
 func BenchmarkTagText(b *testing.B) {
+	b.ReportAllocs()
 	text := "Acme Corp announced that it has acquired Widget Systems for $120 million, and the new chief executive expects revenue to grow 15 percent next year."
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

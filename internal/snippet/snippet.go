@@ -6,7 +6,7 @@
 package snippet
 
 import (
-	"fmt"
+	"strconv"
 
 	"etap/internal/textproc"
 )
@@ -63,7 +63,7 @@ func (g Generator) Split(docID, text string) []Snippet {
 			to = len(sentences)
 		}
 		out = append(out, Snippet{
-			ID:       fmt.Sprintf("%s#%d", docID, index),
+			ID:       docID + "#" + strconv.Itoa(index),
 			DocID:    docID,
 			Index:    index,
 			Text:     joinSentences(sentences[from:to]),

@@ -105,6 +105,7 @@ func TestSplitPropertyCoverage(t *testing.T) {
 }
 
 func BenchmarkSplit(b *testing.B) {
+	b.ReportAllocs()
 	g := Generator{}
 	doc := strings.Repeat(sixSentences+" ", 20)
 	b.SetBytes(int64(len(doc)))

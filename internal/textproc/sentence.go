@@ -3,6 +3,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Sentence is a contiguous span of the source document recognized as a
@@ -49,22 +50,18 @@ var abbreviations = map[string]bool{
 //     terminate the current sentence.
 func SplitSentences(text string) []Sentence {
 	var sentences []Sentence
-	// Offsets come from ranging over the string so invalid UTF-8 keeps
-	// correct byte positions (see Tokenize).
-	runes := make([]rune, 0, len(text))
-	byteAt := make([]int, 0, len(text)+1)
-	for i, r := range text {
-		byteAt = append(byteAt, i)
-		runes = append(runes, r)
-	}
-	byteAt = append(byteAt, len(text))
-	n := len(runes)
+	n := len(text)
 
-	flush := func(startRune, endRune int) {
-		if startRune >= endRune {
+	// Offsets are byte offsets. Runes are decoded in place (see
+	// decodeRune), so invalid UTF-8 keeps the offsets a range loop
+	// reports. Every rule below tests ASCII bytes first, and an ASCII
+	// byte is never part of a multi-byte sequence, so stepping over the
+	// bytes of other runes one at a time never misreads them.
+	flush := func(from, to int) {
+		if from >= to {
 			return
 		}
-		raw := text[byteAt[startRune]:byteAt[endRune]]
+		raw := text[from:to]
 		trimmed := strings.TrimSpace(raw)
 		if trimmed == "" {
 			return
@@ -73,22 +70,22 @@ func SplitSentences(text string) []Sentence {
 		trail := len(raw) - len(strings.TrimRight(raw, " \t\r\n"))
 		sentences = append(sentences, Sentence{
 			Text:  trimmed,
-			Start: byteAt[startRune] + lead,
-			End:   byteAt[endRune] - trail,
+			Start: from + lead,
+			End:   to - trail,
 		})
 	}
 
 	start := 0
 	i := 0
 	for i < n {
-		r := runes[i]
+		c := text[i]
 
 		// Paragraph break: two or more consecutive newlines.
-		if r == '\n' {
+		if c == '\n' {
 			j := i
 			nl := 0
-			for j < n && (runes[j] == '\n' || runes[j] == '\r' || runes[j] == ' ' || runes[j] == '\t') {
-				if runes[j] == '\n' {
+			for j < n && (text[j] == '\n' || text[j] == '\r' || text[j] == ' ' || text[j] == '\t') {
+				if text[j] == '\n' {
 					nl++
 				}
 				j++
@@ -103,21 +100,24 @@ func SplitSentences(text string) []Sentence {
 			continue
 		}
 
-		if r != '.' && r != '!' && r != '?' {
+		if c != '.' && c != '!' && c != '?' {
 			i++
 			continue
 		}
 
-		if r == '.' {
+		if c == '.' {
 			// Period inside a number: "3.5 billion".
-			if i > 0 && i+1 < n && unicode.IsDigit(runes[i-1]) && unicode.IsDigit(runes[i+1]) {
-				i++
-				continue
+			if i > 0 && i+1 < n {
+				prev, _ := utf8.DecodeLastRuneInString(text[:i])
+				next, _ := decodeRune(text, i+1)
+				if unicode.IsDigit(prev) && unicode.IsDigit(next) {
+					i++
+					continue
+				}
 			}
 			// Abbreviation or initial before the period.
-			word := precedingWord(runes, i)
-			lw := strings.ToLower(word)
-			if abbreviations[lw] || isInitial(word) {
+			word := precedingWord(text, i)
+			if abbreviations[strings.ToLower(word)] || isInitial(word) {
 				i++
 				continue
 			}
@@ -125,29 +125,35 @@ func SplitSentences(text string) []Sentence {
 
 		// Absorb any run of terminators and closing quotes/brackets.
 		j := i + 1
-		for j < n && (runes[j] == '.' || runes[j] == '!' || runes[j] == '?' ||
-			runes[j] == '"' || runes[j] == '\'' || runes[j] == ')' || runes[j] == ']' ||
-			runes[j] == '”' || runes[j] == '’') {
-			j++
+		var r rune
+		for j < n {
+			var w int
+			r, w = decodeRune(text, j)
+			if !closesSentence(r) {
+				break
+			}
+			j += w
 		}
 
 		// Must be followed by whitespace (or end of text).
-		if j < n && !unicode.IsSpace(runes[j]) {
+		if j < n && !unicode.IsSpace(r) {
 			i = j
 			continue
 		}
 		// Skip whitespace and check the next visible rune.
 		k := j
-		for k < n && unicode.IsSpace(runes[k]) {
-			k++
-		}
-		if k < n {
-			next := runes[k]
-			if !unicode.IsUpper(next) && !unicode.IsDigit(next) &&
-				next != '"' && next != '“' && next != '(' && next != '‘' && next != '\'' {
-				i = j
-				continue
+		for k < n {
+			var w int
+			r, w = decodeRune(text, k)
+			if !unicode.IsSpace(r) {
+				break
 			}
+			k += w
+		}
+		if k < n && !unicode.IsUpper(r) && !unicode.IsDigit(r) &&
+			r != '"' && r != '“' && r != '(' && r != '‘' && r != '\'' {
+			i = j
+			continue
 		}
 
 		flush(start, j)
@@ -158,19 +164,36 @@ func SplitSentences(text string) []Sentence {
 	return sentences
 }
 
+// closesSentence reports whether r may follow a terminator inside the
+// sentence it ends: another terminator or a closing quote or bracket.
+func closesSentence(r rune) bool {
+	switch r {
+	case '.', '!', '?', '"', '\'', ')', ']', '”', '’':
+		return true
+	}
+	return false
+}
+
 // precedingWord returns the maximal letter-or-period run that ends
-// immediately before runes[end] (a period position).
-func precedingWord(runes []rune, end int) string {
+// immediately before text[end] (a period position), decoding runes
+// backwards in place. A period counts only when a letter precedes it.
+func precedingWord(text string, end int) string {
 	j := end
 	for j > 0 {
-		r := runes[j-1]
-		if unicode.IsLetter(r) || (r == '.' && j-1 > 0 && unicode.IsLetter(runes[j-2])) {
-			j--
+		r, w := utf8.DecodeLastRuneInString(text[:j])
+		if unicode.IsLetter(r) {
+			j -= w
 			continue
+		}
+		if r == '.' && j > 1 {
+			if prev, _ := utf8.DecodeLastRuneInString(text[:j-1]); unicode.IsLetter(prev) {
+				j--
+				continue
+			}
 		}
 		break
 	}
-	return string(runes[j:end])
+	return text[j:end]
 }
 
 // isInitial reports whether word looks like a person's initial ("J",

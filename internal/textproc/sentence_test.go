@@ -131,6 +131,7 @@ func TestSplitSentencesPropertySpans(t *testing.T) {
 }
 
 func BenchmarkSplitSentences(b *testing.B) {
+	b.ReportAllocs()
 	src := strings.Repeat("Acme Corp announced record profits. Mr. Smith, the new CEO, was pleased. Revenue grew 3.5 percent in Q4. ", 30)
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()

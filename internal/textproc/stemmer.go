@@ -3,18 +3,26 @@ package textproc
 import "strings"
 
 // Stem reduces an English word to its stem using the classic Porter (1980)
-// algorithm. The input is lower-cased first; words of length <= 2 are
-// returned unchanged, per the original definition.
+// algorithm. The input is lower-cased first; words of length <= 2, and
+// words with any byte outside a-z after lower-casing, come back
+// lower-cased but otherwise unchanged.
+//
+// The steps edit a stack buffer in place. No step lengthens the word
+// (the "e" step 1b may append replaces a longer suffix it removed), so
+// the stem is never longer than the lower-cased word and is usually a
+// prefix of it; Stem then returns that prefix and allocates nothing.
 func Stem(word string) string {
-	w := []byte(strings.ToLower(word))
-	if len(w) <= 2 {
-		return string(w)
+	lower := strings.ToLower(word)
+	if len(lower) <= 2 {
+		return lower
 	}
-	for _, b := range w {
-		if b < 'a' || b > 'z' {
-			return string(w) // non-alphabetic: leave untouched
+	for i := 0; i < len(lower); i++ {
+		if c := lower[i]; c < 'a' || c > 'z' {
+			return lower // non-alphabetic: leave untouched
 		}
 	}
+	var buf [32]byte
+	w := append(buf[:0], lower...)
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -23,6 +31,9 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
+	if prefix := lower[:len(w)]; prefix == string(w) {
+		return prefix
+	}
 	return string(w)
 }
 
@@ -104,7 +115,8 @@ func hasSuffix(w []byte, s string) bool {
 }
 
 // replaceSuffix replaces suffix s with r if the stem before s has
-// measure > minM. Returns the new word and whether a rule fired.
+// measure > minM. Returns the new word and whether a rule fired. No
+// replacement is longer than its suffix, so the edit happens in place.
 func replaceSuffix(w []byte, s, r string, minM int) ([]byte, bool) {
 	if !hasSuffix(w, s) {
 		return w, false
@@ -113,10 +125,7 @@ func replaceSuffix(w []byte, s, r string, minM int) ([]byte, bool) {
 	if measure(stem) <= minM {
 		return w, true // suffix matched; rule condition failed — stop scanning
 	}
-	out := make([]byte, 0, len(stem)+len(r))
-	out = append(out, stem...)
-	out = append(out, r...)
-	return out, true
+	return append(stem, r...), true
 }
 
 func step1a(w []byte) []byte {
@@ -165,10 +174,7 @@ func step1b(w []byte) []byte {
 
 func step1c(w []byte) []byte {
 	if hasSuffix(w, "y") && containsVowel(w[:len(w)-1]) {
-		w2 := make([]byte, len(w))
-		copy(w2, w)
-		w2[len(w2)-1] = 'i'
-		return w2
+		w[len(w)-1] = 'i'
 	}
 	return w
 }
@@ -182,8 +188,9 @@ var step2Rules = []struct{ s, r string }{
 }
 
 func step2(w []byte) []byte {
+	last := w[len(w)-1]
 	for _, rule := range step2Rules {
-		if hasSuffix(w, rule.s) {
+		if rule.s[len(rule.s)-1] == last && hasSuffix(w, rule.s) {
 			out, _ := replaceSuffix(w, rule.s, rule.r, 0)
 			return out
 		}
@@ -197,8 +204,9 @@ var step3Rules = []struct{ s, r string }{
 }
 
 func step3(w []byte) []byte {
+	last := w[len(w)-1]
 	for _, rule := range step3Rules {
-		if hasSuffix(w, rule.s) {
+		if rule.s[len(rule.s)-1] == last && hasSuffix(w, rule.s) {
 			out, _ := replaceSuffix(w, rule.s, rule.r, 0)
 			return out
 		}
@@ -212,8 +220,9 @@ var step4Suffixes = []string{
 }
 
 func step4(w []byte) []byte {
+	last := w[len(w)-1]
 	for _, s := range step4Suffixes {
-		if !hasSuffix(w, s) {
+		if s[len(s)-1] != last || !hasSuffix(w, s) {
 			continue
 		}
 		stem := w[:len(w)-len(s)]

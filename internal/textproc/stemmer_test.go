@@ -179,6 +179,7 @@ func TestMeasure(t *testing.T) {
 }
 
 func BenchmarkStem(b *testing.B) {
+	b.ReportAllocs()
 	words := []string{"acquisitions", "management", "revenues", "growing", "appointed"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies a surface token.
@@ -51,93 +52,71 @@ func (t Token) Lower() string { return strings.ToLower(t.Text) }
 // offsets into the input.
 func Tokenize(text string) []Token {
 	tokens := make([]Token, 0, len(text)/5)
-	// byteAt[i] is the byte offset of runes[i]; byteAt[len] == len(text).
-	// Offsets come from ranging over the string, which stays correct
-	// even for invalid UTF-8 (each bad byte decodes to U+FFFD but
-	// advances by its true source width).
-	runes := make([]rune, 0, len(text))
-	byteAt := make([]int, 0, len(text)+1)
-	for i, r := range text {
-		byteAt = append(byteAt, i)
-		runes = append(runes, r)
-	}
-	byteAt = append(byteAt, len(text))
-
+	n := len(text)
 	i := 0
-	n := len(runes)
 	for i < n {
-		r := runes[i]
-		// Token text is sliced from the source by byte offsets, so
-		// invalid bytes round-trip exactly.
-		src := func(from, to int) string { return text[byteAt[from]:byteAt[to]] }
+		r, w := decodeRune(text, i)
+		j := i + w
+		kind := KindPunct
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i = j
+			continue
 		case unicode.IsLetter(r):
-			j := i + 1
+			kind = KindWord
 			for j < n {
-				rj := runes[j]
+				rj, wj := decodeRune(text, j)
 				if unicode.IsLetter(rj) || unicode.IsDigit(rj) {
-					j++
+					j += wj
 					continue
 				}
 				// Keep internal apostrophes/hyphens/periods when
 				// followed by a letter: "don't", "vice-president",
 				// "U.S.A" (trailing period handled by sentence rules).
-				if (rj == '\'' || rj == '-' || rj == '.' || rj == '&') &&
-					j+1 < n && unicode.IsLetter(runes[j+1]) {
-					j += 2
-					continue
+				if (rj == '\'' || rj == '-' || rj == '.' || rj == '&') && j+1 < n {
+					if rk, wk := decodeRune(text, j+1); unicode.IsLetter(rk) {
+						j += 1 + wk
+						continue
+					}
 				}
 				break
 			}
-			tokens = append(tokens, Token{
-				Text:  src(i, j),
-				Kind:  KindWord,
-				Start: byteAt[i],
-				End:   byteAt[j],
-			})
-			i = j
 		case unicode.IsDigit(r):
-			j := i + 1
+			kind = KindNumber
 			for j < n {
-				rj := runes[j]
+				rj, wj := decodeRune(text, j)
 				if unicode.IsDigit(rj) {
-					j++
+					j += wj
 					continue
 				}
-				if (rj == ',' || rj == '.') && j+1 < n && unicode.IsDigit(runes[j+1]) {
-					j += 2
-					continue
+				if (rj == ',' || rj == '.') && j+1 < n {
+					if rk, wk := decodeRune(text, j+1); unicode.IsDigit(rk) {
+						j += 1 + wk
+						continue
+					}
 				}
 				break
 			}
-			tokens = append(tokens, Token{
-				Text:  src(i, j),
-				Kind:  KindNumber,
-				Start: byteAt[i],
-				End:   byteAt[j],
-			})
-			i = j
 		case isSymbolRune(r):
-			tokens = append(tokens, Token{
-				Text:  src(i, i+1),
-				Kind:  KindSymbol,
-				Start: byteAt[i],
-				End:   byteAt[i+1],
-			})
-			i++
-		default:
-			tokens = append(tokens, Token{
-				Text:  src(i, i+1),
-				Kind:  KindPunct,
-				Start: byteAt[i],
-				End:   byteAt[i+1],
-			})
-			i++
+			kind = KindSymbol
 		}
+		// Token text is sliced from the source by byte offsets, so
+		// invalid bytes round-trip exactly.
+		tokens = append(tokens, Token{Text: text[i:j], Kind: kind, Start: i, End: j})
+		i = j
 	}
 	return tokens
+}
+
+// decodeRune decodes the rune starting at byte offset i of s, with an
+// ASCII fast path. Like ranging over a string, it decodes each byte of
+// invalid UTF-8 to U+FFFD with width 1, so offsets are the ones a
+// range loop would report.
+func decodeRune(s string, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s[i:])
 }
 
 func isSymbolRune(r rune) bool {
@@ -146,6 +125,17 @@ func isSymbolRune(r rune) bool {
 		return true
 	}
 	return unicode.IsSymbol(r) && r != '\''
+}
+
+// Lowered returns the lower-cased surface form of every token, in
+// token order: the slice the recognizer's and the tagger's lowered-slice
+// entry points share, so each token is lower-cased once.
+func Lowered(tokens []Token) []string {
+	out := make([]string, len(tokens))
+	for i, t := range tokens {
+		out[i] = strings.ToLower(t.Text)
+	}
+	return out
 }
 
 // Words returns the lower-cased word tokens of text, dropping punctuation,

@@ -176,6 +176,7 @@ func TestTokenizePropertyWordStability(t *testing.T) {
 }
 
 func BenchmarkTokenize(b *testing.B) {
+	b.ReportAllocs()
 	src := strings.Repeat("Acme Corp announced a 10% revenue growth to $5.2 billion in Q4. ", 50)
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
