@@ -470,10 +470,13 @@ func purePositives(gen *etap.WorldGenerator, driverID string) []string {
 	return pure
 }
 
-// extractAll runs the startup extraction pass. Each driver's pass is
+// extractAll runs the startup extraction pass. Each driver's call is
 // one observation of the extract stage's duration histogram, and its
 // events are counted as the stage's items, so the cost of populating
-// the store lands in the log and on /metrics.
+// the store lands in the log and on /metrics. The first call annotates
+// every page once and scores all the drivers, so its observation
+// carries the whole pass; the later calls take their events from the
+// System's stash and observe near zero.
 func extractAll(log *slog.Logger, sys *etap.System, w *etap.Web, st *store.Store) error {
 	var pages []*etap.Page
 	for _, u := range w.URLs() {

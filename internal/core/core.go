@@ -14,6 +14,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -196,7 +198,10 @@ type System struct {
 	cfg Config
 	met *pipelineMetrics // nil when Config.DisableMetrics
 
+	// drivers is add-only: AddDriver and ImportDriver reject a
+	// duplicate ID, which keeps stash entries current.
 	drivers map[string]*trainedDriver
+	stash   batchStash
 	// negatives are shared across drivers ("The same set of negative
 	// class snippets can be used across different sales-driver
 	// categories").
@@ -461,17 +466,16 @@ func (s *System) ExtractAllEvents(pages []*web.Page, threshold float64) []rank.E
 // ExtractAllEventsTraced is ExtractAllEvents contributing one
 // per-driver extraction span to the document trace carried by ctx —
 // a no-op without one, so the batch path pays nothing. The streaming
-// ingest worker (internal/alert) calls this form. Each page is split
-// and annotated once, in page order; every driver then scores the
-// same annotated snippets inside its span, so the events come out
-// driver-major exactly as one ExtractEvents call per driver would
-// return them.
+// ingest worker (internal/alert) calls this form. Each page is split,
+// annotated and abstracted once per distinct policy, in page order;
+// every driver then classifies the same snippets inside its span, so
+// the events come out driver-major exactly as one ExtractEvents call
+// per driver would return them.
 func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, threshold float64) []rank.Event {
-	ids := s.Drivers()
-	if len(ids) == 0 {
+	sc := s.newScorer()
+	if len(sc.drivers) == 0 {
 		return nil
 	}
-	sort.Strings(ids)
 	if threshold <= 0 {
 		threshold = 0.5
 	}
@@ -479,17 +483,18 @@ func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, 
 	annotated := make([][]annotatedSnippet, len(pages))
 	for i, page := range pages {
 		annotated[i] = s.annotatePage(gen, page)
+		s.abstract(sc, annotated[i])
 	}
 	var events []rank.Event
-	for _, id := range ids {
+	for d, td := range sc.drivers {
 		_, sp := obs.StartDSpan(ctx, "extract")
-		sp.SetAttr("driver", id)
+		sp.SetAttr("driver", td.spec.ID)
 		if s.met != nil {
 			s.met.runs.Inc()
 		}
 		before := len(events)
 		for _, snips := range annotated {
-			events = append(events, s.scoreSnippets(s.drivers[id], id, snips, threshold)...)
+			events = s.classify(sc, d, snips, threshold, events)
 		}
 		sp.SetAttr("events", strconv.Itoa(len(events)-before))
 		sp.End()
@@ -497,11 +502,17 @@ func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, 
 	return events
 }
 
-// annotatedSnippet is a snippet with its annotation: what every
-// driver's classifier scores.
+// annotatedSnippet is a snippet with its annotation and, once a scorer
+// has abstracted it, its feature lists: what every driver's classifier
+// scores.
 type annotatedSnippet struct {
 	snippet.Snippet
 	units []annotate.Unit
+	// feats[k] is the snippet under the scorer's policies[k];
+	// abstractDur is the time abstracting them took, when metrics are
+	// enabled.
+	feats       [][]string
+	abstractDur time.Duration
 }
 
 // annotatePage splits one page into snippets and annotates each — the
@@ -530,23 +541,83 @@ func (s *System) annotatePage(gen snippet.Generator, page *web.Page) []annotated
 	return out
 }
 
-// scoreSnippets scores annotated snippets against one driver's
-// classifier; those at or above threshold become trigger events. The
-// subject company is the first ORG entity in the snippet (when any).
-// When metrics are enabled it attributes wall time to the classify
-// stage and counts snippets scored and events emitted.
-func (s *System) scoreSnippets(td *trainedDriver, driverID string, snips []annotatedSnippet, threshold float64) []rank.Event {
+// scorer is the trained drivers in sorted-ID order with their distinct
+// abstraction policies: drivers that share a policy share the feature
+// lists it abstracts, so a snippet is abstracted once per policy, not
+// once per driver.
+type scorer struct {
+	drivers  []*trainedDriver
+	policies []feature.Policy
+	policyOf []int // drivers[d] abstracts with policies[policyOf[d]]
+}
+
+func (s *System) newScorer() *scorer {
+	ids := s.Drivers()
+	sort.Strings(ids)
+	sc := &scorer{}
+	for _, id := range ids {
+		td := s.drivers[id]
+		k := slices.IndexFunc(sc.policies, func(p feature.Policy) bool { return maps.Equal(p, td.policy) })
+		if k < 0 {
+			k = len(sc.policies)
+			sc.policies = append(sc.policies, td.policy)
+		}
+		sc.drivers = append(sc.drivers, td)
+		sc.policyOf = append(sc.policyOf, k)
+	}
+	return sc
+}
+
+// scoreSnippets scores one page's annotated snippets for every driver
+// of sc: events[d] are drivers[d]'s trigger events, in snippet order.
+func (s *System) scoreSnippets(sc *scorer, snips []annotatedSnippet, threshold float64) [][]rank.Event {
+	s.abstract(sc, snips)
+	events := make([][]rank.Event, len(sc.drivers))
+	for d := range sc.drivers {
+		events[d] = s.classify(sc, d, snips, threshold, nil)
+	}
+	return events
+}
+
+// abstract fills in each snippet's feature lists, one per policy of sc.
+func (s *System) abstract(sc *scorer, snips []annotatedSnippet) {
+	feats := make([][]string, len(snips)*len(sc.policies))
+	for i := range snips {
+		sn := &snips[i]
+		var t time.Time
+		if s.met != nil {
+			t = time.Now()
+		}
+		sn.feats = feats[i*len(sc.policies) : (i+1)*len(sc.policies)]
+		for k, p := range sc.policies {
+			sn.feats[k] = feature.Extract(sn.units, p)
+		}
+		if s.met != nil {
+			sn.abstractDur = time.Since(t)
+		}
+	}
+}
+
+// classify scores abstracted snippets against drivers[d]'s classifier
+// and appends those at or above threshold to events as trigger events.
+// The subject company is the first ORG entity in the snippet (when
+// any). When metrics are enabled it counts snippets scored and events
+// emitted, and observes the classify stage once per snippet: the
+// driver's own scoring plus an equal share of the snippet's feature
+// abstraction.
+func (s *System) classify(sc *scorer, d int, snips []annotatedSnippet, threshold float64, events []rank.Event) []rank.Event {
 	m := s.met
-	var events []rank.Event
-	for _, sn := range snips {
+	td := sc.drivers[d]
+	for i := range snips {
+		sn := &snips[i]
 		var t time.Time
 		if m != nil {
 			t = time.Now()
 		}
-		x := feature.Vectorize(td.vocab, feature.Extract(sn.units, td.policy), false)
+		x := feature.Vectorize(td.vocab, sn.feats[sc.policyOf[d]], false)
 		p := td.clf.Prob(x)
 		if m != nil {
-			m.classifyDur.Observe(time.Since(t).Seconds())
+			m.classifyDur.Observe((time.Since(t) + sn.abstractDur/time.Duration(len(sc.drivers))).Seconds())
 			m.snippets.Inc()
 		}
 		if p < threshold {
@@ -558,7 +629,7 @@ func (s *System) scoreSnippets(td *trainedDriver, driverID string, snips []annot
 		ev := rank.Event{
 			SnippetID: sn.ID,
 			Text:      sn.Text,
-			Driver:    driverID,
+			Driver:    td.spec.ID,
 			Score:     p,
 			Company:   firstOrg(sn.units),
 		}

@@ -43,10 +43,23 @@ func newFixture(t testing.TB, seed int64, cfg Config) *fixture {
 
 func (f *fixture) addDriver(t testing.TB, d corpus.Driver, purePos int) TrainingStats {
 	t.Helper()
+	return f.train(t, d, f.purePositives(d, purePos))
+}
+
+// purePositives draws n pure positives for d. The generator moves on
+// with every draw, so the same driver gets different snippets
+// depending on what was drawn before.
+func (f *fixture) purePositives(d corpus.Driver, n int) []string {
 	var pure []string
-	for _, s := range f.gen.PurePositives(d, purePos) {
+	for _, s := range f.gen.PurePositives(d, n) {
 		pure = append(pure, s.Text)
 	}
+	return pure
+}
+
+// train adds the default driver d, with the given pure positives.
+func (f *fixture) train(t testing.TB, d corpus.Driver, pure []string) TrainingStats {
+	t.Helper()
 	var spec SalesDriver
 	for _, sd := range DefaultDrivers() {
 		if sd.ID == string(d) {

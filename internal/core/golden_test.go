@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
 
 	"etap/internal/corpus"
 	"etap/internal/feature"
+	"etap/internal/rank"
 	"etap/internal/snippet"
 	"etap/internal/textproc"
 	"etap/internal/web"
@@ -72,16 +74,20 @@ func TestAnnotationGoldenDigests(t *testing.T) {
 			check("feature.Extract", got.features, want.features)
 			check("Vectorize", got.vectors, want.vectors)
 			check("ExtractEventsParallel", got.events, want.events)
+			check("ExtractEventsParallel, drivers asked in reverse", got.reverse, want.events)
 		})
 	}
 }
 
 // goldenResult is what annotationDigests measures: the world's size and
-// one digest per layer.
+// one digest per layer. reverse is the events digest with the drivers
+// asked for in reverse order, which must equal events: one batch pass
+// scores every driver, so each order takes some drivers' events from
+// the stash and computes the others'.
 type goldenResult struct {
 	pages, snippets                           int
 	sentences, tokens, split, units, features string
-	vectors, events                           string
+	vectors, events, reverse                  string
 }
 
 // annotationDigests runs every layer of the per-snippet path over the
@@ -149,23 +155,36 @@ func annotationDigests(t *testing.T, seed int64) goldenResult {
 	}
 	vectors.int(grown.Size())
 
-	events := newDigest()
-	for _, id := range ids {
+	res.sentences, res.tokens, res.split = sentences.sum(), tokens.sum(), split.sum()
+	res.units, res.features, res.vectors = units.sum(), features.sum(), vectors.sum()
+	reverse := slices.Clone(ids)
+	slices.Reverse(reverse)
+	res.events = eventsDigest(t, sys, ids, pages, ids)
+	res.reverse = eventsDigest(t, sys, ids, pages, reverse)
+	return res
+}
+
+// eventsDigest asks for each driver's events in the order given, then
+// hashes them in sorted-ID order.
+func eventsDigest(t *testing.T, sys *System, sorted []string, pages []*web.Page, order []string) string {
+	t.Helper()
+	byDriver := make(map[string][]rank.Event)
+	for _, id := range order {
 		evs, err := sys.ExtractEventsParallel(id, pages, 0.5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range evs {
+		byDriver[id] = evs
+	}
+	events := newDigest()
+	for _, id := range sorted {
+		for _, e := range byDriver[id] {
 			events.str(e.SnippetID).str(e.Text).str(e.Driver).str(e.Company).
 				f64(e.Score).f64(e.Orientation)
 		}
-		events.int(len(evs))
+		events.int(len(byDriver[id]))
 	}
-
-	res.sentences, res.tokens, res.split = sentences.sum(), tokens.sum(), split.sum()
-	res.units, res.features, res.vectors = units.sum(), features.sum(), vectors.sum()
-	res.events = events.sum()
-	return res
+	return events.sum()
 }
 
 // goldenDigest hashes a stream of length-prefixed strings, integers and

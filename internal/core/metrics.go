@@ -17,7 +17,7 @@ type pipelineMetrics struct {
 
 	snippets *obs.Counter // snippets scored (classifier invocations)
 	events   *obs.Counter // events at/above threshold
-	runs     *obs.Counter // extraction passes
+	runs     *obs.Counter // extraction calls, stash hits included
 	trainDur *obs.Histogram
 
 	queueDepth  *obs.Gauge // pages enqueued, not yet picked up by a worker
