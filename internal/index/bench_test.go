@@ -79,7 +79,9 @@ func BenchmarkIndexBulkAdd(b *testing.B) {
 
 // BenchmarkIndexSearch compares query throughput: the in-RAM engine,
 // the segment engine serving from committed on-disk segments, and the
-// segment engine with its query cache enabled.
+// segment engine with its query cache enabled; cooccur times the
+// PMI-IR NEAR count (never cached) on the segment engine. Allocations
+// are reported for every case.
 func BenchmarkIndexSearch(b *testing.B) {
 	docs := benchCorpus()
 	single := loadSequential(docs)
@@ -101,16 +103,32 @@ func BenchmarkIndexSearch(b *testing.B) {
 
 	run := func(ix Engine) func(*testing.B) {
 		return func(b *testing.B) {
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.Search(goldenQueries[i%len(goldenQueries)], 10)
+				benchHits = ix.Search(goldenQueries[i%len(goldenQueries)], 10)
 			}
 		}
 	}
 	b.Run("in-ram", run(single))
 	b.Run("segments", run(segs))
 	b.Run("segments-cached", run(cached))
+	b.Run("cooccur", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := digestPairs[i%len(digestPairs)]
+			benchCount = segs.CoNearFreq(p[0], p[1], 10)
+		}
+	})
 }
+
+// Sinks for benchmark results, so the measured calls are not optimized
+// away.
+var (
+	benchHits  []Hit
+	benchCount int
+)
 
 // benchReport is the schema of BENCH_index.json — the perf trajectory
 // record for the search substrate, refreshed by `make bench-index`.

@@ -253,13 +253,13 @@ func TestTopKMatchesFullSort(t *testing.T) {
 			hits[i] = Hit{DocID: fmt.Sprintf("d%04d", i), Score: float64(rng.Intn(20)) / 3}
 		}
 		k := rng.Intn(n + 10)
-		merger := newTopK(k)
+		merger := newTopK(k, n)
 		for _, h := range hits {
 			merger.push(h)
 		}
 		got := merger.results()
 
-		full := newTopK(0)
+		full := newTopK(0, n)
 		for _, h := range hits {
 			full.push(h)
 		}

@@ -1,7 +1,8 @@
 package index
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -55,18 +56,27 @@ type part interface {
 	// statistics: document count, summed document length, and document
 	// frequency for each of the distinct query terms.
 	snapshotStats(distinct []string) partStats
-	// searchPart resolves a query against this part's documents using
-	// caller-supplied global idf values and average document length.
-	searchPart(allTerms []string, phrases [][]string, distinct []string, idf []float64, avgLen float64) []Hit
+	// searchPart resolves a query against this part's documents and
+	// appends the matches to sc.hits (see matchAndScore).
+	searchPart(q *partQuery, sc *scratch)
 	// docFreq returns the part-local document frequency of one term.
 	docFreq(t string) int
-	// coDocFreq counts part-local documents containing both terms.
-	coDocFreq(ta, tb string) int
-	// coNearFreq counts part-local documents with the terms within
-	// window positions.
-	coNearFreq(ta, tb string, window int32) int
+	// coFreq counts part-local documents containing both terms, within
+	// window positions of each other when window > 0 (see countCo).
+	coFreq(ta, tb string, window int32, sc *scratch) int
 	// size reports document, term-entry and posting counts for Stats.
 	size() (docs, terms, postings int)
+}
+
+// partQuery is a query as every part resolves it: its distinct tokens,
+// its multi-token phrases as indexes into them, and the corpus-wide
+// statistics phase 1 of resolveParts computed. It is shared read-only
+// by every part of one query.
+type partQuery struct {
+	distinct []string  // sorted distinct query tokens, every one required
+	phrases  [][]int   // each multi-token phrase, as indexes into distinct
+	idf      []float64 // BM25 idf, parallel to distinct
+	avgLen   float64   // average document length
 }
 
 // partStats is one part's contribution to the corpus-wide statistics
@@ -80,33 +90,39 @@ type partStats struct {
 // resolveParts answers a parsed-and-flattened query against a set of
 // parts: phase 1 aggregates corpus-wide statistics (document count,
 // total length, per-term document frequency), phase 2 matches and
-// scores every part with those shared statistics, and the results merge
-// through a bounded top-k heap. Because every per-document scoring
+// scores every part holding all the terms with those shared statistics,
+// and the results merge through a bounded top-k heap. Because every per-document scoring
 // input (tf, docLen, idf, avgLen) and the summation order (sorted
 // distinct terms) are part-independent, ranked output — order and
 // score — is identical for any partitioning of the same documents.
 // With parallel set, phase 2 fans out across parts concurrently.
 func resolveParts(parts []part, allTerms []string, phrases [][]string, k int, parallel bool) []Hit {
 	// Distinct query tokens in sorted order — the shared scoring basis.
-	seen := map[string]bool{}
-	distinct := make([]string, 0, len(allTerms))
-	for _, t := range allTerms {
-		if !seen[t] {
-			seen[t] = true
-			distinct = append(distinct, t)
+	distinct := slices.Clone(allTerms)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	q := partQuery{distinct: distinct, phrases: make([][]int, len(phrases))}
+	for i, p := range phrases {
+		q.phrases[i] = make([]int, len(p))
+		for j, t := range p {
+			q.phrases[i][j], _ = slices.BinarySearch(distinct, t)
 		}
 	}
-	sort.Strings(distinct)
 
-	// Phase 1: aggregate corpus-wide statistics across parts.
+	// Phase 1: aggregate corpus-wide statistics across parts, noting
+	// the parts that hold every term: only those can match.
 	nDocs, totalLen := 0, 0.0
 	df := make([]int, len(distinct))
+	matching := make([]part, 0, len(parts))
 	for _, p := range parts {
 		st := p.snapshotStats(distinct)
 		nDocs += st.docs
 		totalLen += st.totalLen
 		for i, d := range st.df {
 			df[i] += d
+		}
+		if !slices.Contains(st.df, 0) {
+			matching = append(matching, p)
 		}
 	}
 	var scanned uint64
@@ -120,41 +136,69 @@ func resolveParts(parts []part, allTerms []string, phrases [][]string, k int, pa
 	}
 	mPostings.Add(scanned)
 
-	idfs := make([]float64, len(distinct))
+	q.idf = make([]float64, len(distinct))
 	for i, d := range df {
-		idfs[i] = idf(nDocs, d)
+		q.idf[i] = idf(nDocs, d)
 	}
-	avgLen := totalLen / maxf(1, float64(nDocs))
+	q.avgLen = totalLen / max(1, float64(nDocs))
 
-	// Phase 2: match + score each part with the shared statistics.
-	perPart := make([][]Hit, len(parts))
-	if !parallel || len(parts) == 1 {
-		for i, p := range parts {
-			perPart[i] = p.searchPart(allTerms, phrases, distinct, idfs, avgLen)
+	// Phase 2: match + score each matching part with the shared
+	// statistics, each into its own scratch.
+	scs := make([]*scratch, len(matching))
+	for i := range scs {
+		scs[i] = getScratch()
+	}
+	if !parallel || len(matching) == 1 {
+		for i, p := range matching {
+			p.searchPart(&q, scs[i])
 		}
 	} else {
 		//etaplint:ignore determinism -- metrics-only timing: the timestamp feeds the fan-out histogram, never a result
 		start := time.Now()
 		var wg sync.WaitGroup
-		for i, p := range parts {
+		for i, p := range matching {
 			wg.Add(1)
-			go func(i int, p part) {
+			go func(p part, sc *scratch) {
 				defer wg.Done()
-				perPart[i] = p.searchPart(allTerms, phrases, distinct, idfs, avgLen)
-			}(i, p)
+				p.searchPart(&q, sc)
+			}(p, scs[i])
 		}
 		wg.Wait()
 		mFanout.ObserveSince(start)
 	}
 
-	// Merge: bounded heap keeps only the k best across parts.
-	merger := newTopK(k)
-	for _, hs := range perPart {
-		for _, h := range hs {
+	// Merge: bounded heap keeps only the k best across parts; the hits
+	// are copied out before each scratch goes back to the pool.
+	n := 0
+	for _, sc := range scs {
+		n += len(sc.hits)
+	}
+	merger := newTopK(k, n)
+	for _, sc := range scs {
+		for _, h := range sc.hits {
 			merger.push(h)
 		}
+		putScratch(sc)
 	}
 	return merger.results()
+}
+
+// coFreq answers CoDocFreq (window <= 0) and CoNearFreq over parts. A
+// document lives in exactly one part, so the corpus-wide count is the
+// sum of the part-local ones.
+func coFreq(parts []part, a, b string, window int) int {
+	ta, tb := terms(a), terms(b)
+	if len(ta) == 0 || len(tb) == 0 {
+		return 0
+	}
+	w := int32(min(max(window, 0), math.MaxInt32))
+	n := 0
+	for _, p := range parts {
+		sc := getScratch()
+		n += p.coFreq(ta[0], tb[0], w, sc)
+		putScratch(sc)
+	}
+	return n
 }
 
 // flattenQuery normalizes a parsed query for resolution: single-token
@@ -171,12 +215,4 @@ func flattenQuery(q Query) (allTerms []string, phrases [][]string) {
 		}
 	}
 	return allTerms, phrases
-}
-
-// maxf avoids importing math for one two-value max on the hot path.
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

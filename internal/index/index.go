@@ -308,36 +308,16 @@ func (ix *Index) DocFreq(term string) int {
 }
 
 // CoDocFreq returns the number of documents containing both terms —
-// whole-document co-occurrence. Documents never span shards, so the
-// corpus-wide count is the sum of shard-local counts.
+// whole-document co-occurrence.
 func (ix *Index) CoDocFreq(a, b string) int {
-	ta, tb := terms(a), terms(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range ix.shards {
-		n += s.coDocFreq(ta[0], tb[0])
-	}
-	return n
+	return coFreq(ix.parts(), a, b, 0)
 }
 
 // CoNearFreq returns the number of documents where the two terms occur
 // within `window` token positions of each other — the NEAR operator of
 // Turney's PMI-IR. window <= 0 degrades to CoDocFreq.
 func (ix *Index) CoNearFreq(a, b string, window int) int {
-	if window <= 0 {
-		return ix.CoDocFreq(a, b)
-	}
-	ta, tb := terms(a), terms(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range ix.shards {
-		n += s.coNearFreq(ta[0], tb[0], int32(window))
-	}
-	return n
+	return coFreq(ix.parts(), a, b, window)
 }
 
 // Stats is a point-in-time summary of the index, for operational

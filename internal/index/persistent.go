@@ -355,40 +355,18 @@ func (si *SegmentIndex) DocFreq(term string) int {
 }
 
 // CoDocFreq returns the number of documents containing both terms —
-// whole-document co-occurrence. Documents never span parts, so the
-// corpus-wide count is the sum of part-local counts.
+// whole-document co-occurrence.
 func (si *SegmentIndex) CoDocFreq(a, b string) int {
-	ta, tb := terms(a), terms(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	parts, release := si.snapshot()
-	defer release()
-	n := 0
-	for _, p := range parts {
-		n += p.coDocFreq(ta[0], tb[0])
-	}
-	return n
+	return si.CoNearFreq(a, b, 0)
 }
 
 // CoNearFreq returns the number of documents where the two terms occur
 // within `window` token positions of each other. window <= 0 degrades
 // to CoDocFreq.
 func (si *SegmentIndex) CoNearFreq(a, b string, window int) int {
-	if window <= 0 {
-		return si.CoDocFreq(a, b)
-	}
-	ta, tb := terms(a), terms(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
 	parts, release := si.snapshot()
 	defer release()
-	n := 0
-	for _, p := range parts {
-		n += p.coNearFreq(ta[0], tb[0], int32(window))
-	}
-	return n
+	return coFreq(parts, a, b, window)
 }
 
 // Len returns the number of indexed documents across memtables and

@@ -3,7 +3,9 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
 )
 
 // This file holds the postings-list machinery shared by every part
@@ -41,47 +43,100 @@ func appendPostings(buf []byte, pl []Posting) []byte {
 	return buf
 }
 
-// decodePostings reverses appendPostings. It returns an error (never
-// panics) on truncated or corrupt input so a damaged segment surfaces
-// as a recoverable condition, not a crash.
-func decodePostings(data []byte) ([]Posting, error) {
+// decodePostings reverses appendPostings, appending the decoded
+// postings to pl and every posting's positions, back to back, to pos;
+// each decoded Posting's Positions aliases its stretch of the returned
+// pos. Callers that pass the same pl and pos back in query after query
+// (see scratch) decode without allocating once both have grown to the
+// largest list kept.
+//
+// A non-nil within (sorted by Doc) keeps only the postings of the
+// documents within also holds: the rest are parsed and checked but not
+// stored, so a conjunctive query's scratch grows with the intersection
+// rather than with every list it scans.
+//
+// It returns an error (never panics) on truncated or corrupt input so a
+// damaged segment surfaces as a recoverable condition, not a crash; the
+// caller then keeps its own pl and pos. No count is trusted before it
+// is checked against the bytes left: a posting takes at least 2 bytes
+// and a position at least 1, so what decoding allocates is bounded by
+// len(data) whatever the counts claim.
+func decodePostings(data []byte, within, pl []Posting, pos []int32) ([]Posting, []int32, error) {
 	n, off, err := readUvarint(data, 0)
 	if err != nil {
-		return nil, fmt.Errorf("postings count: %w", err)
+		return nil, nil, fmt.Errorf("postings count: %w", err)
 	}
-	pl := make([]Posting, 0, n)
-	prevDoc := int32(0)
+	if n > uint64(len(data)-off)/2 {
+		return nil, nil, fmt.Errorf("postings count %d exceeds the %d bytes left", n, len(data)-off)
+	}
+	if within == nil {
+		pl = slices.Grow(pl, int(n))
+	} else {
+		pl = slices.Grow(pl, min(int(n), len(within)))
+	}
+	prevDoc := int64(-1)
+	w := 0 // within[w] is the first posting not below the current doc
+	// Most deltas and counts fit one byte: the loops below take those
+	// inline and leave the rest, and every error, to readUvarint.
 	for i := uint64(0); i < n; i++ {
-		docDelta, o, err := readUvarint(data, off)
-		if err != nil {
-			return nil, fmt.Errorf("doc delta %d: %w", i, err)
+		var docDelta uint64
+		if off < len(data) && data[off] < 0x80 {
+			docDelta = uint64(data[off])
+			off++
+		} else if docDelta, off, err = readUvarint(data, off); err != nil {
+			return nil, nil, fmt.Errorf("doc delta %d: %w", i, err)
 		}
-		off = o
-		doc := prevDoc + int32(docDelta)
+		doc := int64(docDelta) + max(prevDoc, 0)
+		if docDelta > math.MaxInt32 || doc <= prevDoc || doc > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("doc delta %d: %d does not follow doc %d", i, docDelta, prevDoc)
+		}
 		prevDoc = doc
-		posCount, o, err := readUvarint(data, off)
-		if err != nil {
-			return nil, fmt.Errorf("position count %d: %w", i, err)
-		}
-		off = o
-		positions := make([]int32, 0, posCount)
-		prevPos := int32(0)
-		for j := uint64(0); j < posCount; j++ {
-			d, o, err := readUvarint(data, off)
-			if err != nil {
-				return nil, fmt.Errorf("position delta %d/%d: %w", i, j, err)
+		keep := within == nil
+		if !keep {
+			for w < len(within) && int64(within[w].Doc) < doc {
+				w++
 			}
-			off = o
-			pos := prevPos + int32(d)
-			prevPos = pos
-			positions = append(positions, pos)
+			keep = w < len(within) && int64(within[w].Doc) == doc
 		}
-		pl = append(pl, Posting{Doc: doc, Positions: positions})
+		var posCount uint64
+		if off < len(data) && data[off] < 0x80 {
+			posCount = uint64(data[off])
+			off++
+		} else if posCount, off, err = readUvarint(data, off); err != nil {
+			return nil, nil, fmt.Errorf("position count %d: %w", i, err)
+		}
+		if posCount > uint64(len(data)-off) {
+			return nil, nil, fmt.Errorf("position count %d of posting %d exceeds the %d bytes left", posCount, i, len(data)-off)
+		}
+		if keep {
+			pos = slices.Grow(pos, int(posCount))
+		}
+		start := len(pos)
+		prevPos := int64(0)
+		for j := uint64(0); j < posCount; j++ {
+			var d uint64
+			if off < len(data) && data[off] < 0x80 {
+				d = uint64(data[off])
+				off++
+			} else if d, off, err = readUvarint(data, off); err != nil {
+				return nil, nil, fmt.Errorf("position delta %d/%d: %w", i, j, err)
+			}
+			if d > math.MaxInt32-uint64(prevPos) {
+				return nil, nil, fmt.Errorf("position delta %d/%d: %d overflows position %d", i, j, d, prevPos)
+			}
+			prevPos += int64(d)
+			if keep {
+				pos = append(pos, int32(prevPos))
+			}
+		}
+		if keep {
+			pl = append(pl, Posting{Doc: int32(doc), Positions: pos[start:len(pos):len(pos)]})
+		}
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("postings list has %d trailing bytes", len(data)-off)
+		return nil, nil, fmt.Errorf("postings list has %d trailing bytes", len(data)-off)
 	}
-	return pl, nil
+	return pl, pos, nil
 }
 
 // postingsLastDoc scans an encoded postings list (off pointing just
@@ -123,103 +178,132 @@ func postingsLastDoc(data []byte, off int, count uint64) (int32, error) {
 }
 
 // readUvarint decodes one uvarint at off, returning the value and the
-// next offset. Unlike binary.Uvarint it reports truncation as an error.
+// next offset. Unlike binary.Uvarint it reports truncation as an error,
+// and it rejects the padded encodings binary.AppendUvarint never
+// writes, so every accepted byte string has exactly one reading.
 func readUvarint(data []byte, off int) (uint64, int, error) {
 	v, n := binary.Uvarint(data[off:])
 	if n <= 0 {
 		return 0, 0, fmt.Errorf("truncated uvarint at offset %d", off)
 	}
+	if n > 1 && data[off+n-1] == 0 {
+		return 0, 0, fmt.Errorf("padded uvarint at offset %d", off)
+	}
 	return v, off + n, nil
 }
 
-// matchAndScore resolves a query against one part's fetched postings:
-// conjunctive intersection over allTerms, phrase adjacency filtering,
-// then BM25 scoring with the caller-supplied global idf values and
-// average document length. post must hold an entry for every term in
-// allTerms, distinct and the phrases (nil/absent means the term does
-// not occur in this part). The returned hits are unordered; the caller
-// merges and ranks across parts. Scores are bit-identical regardless
-// of how documents are partitioned because every per-document input
-// (tf, docLen, idf, avgLen) and the summation order (sorted distinct
-// terms) are partition-independent.
-func matchAndScore(post map[string][]Posting, docLen []float64, ids []string, allTerms []string, phrases [][]string, distinct []string, idf []float64, avgLen float64) []Hit {
-	required := make([][]Posting, 0, len(allTerms))
-	for _, t := range allTerms {
-		pl := post[t]
-		if len(pl) == 0 {
-			return nil // conjunctive: this part holds no matching docs
-		}
-		required = append(required, pl)
-	}
-	if len(required) == 0 {
-		return nil
-	}
-
-	// Intersect candidate doc sets.
-	candidates := docSet(required[0])
-	for _, pl := range required[1:] {
-		next := docSet(pl)
-		for d := range candidates {
-			if !next[d] {
-				delete(candidates, d)
-			}
-		}
-		if len(candidates) == 0 {
-			return nil
-		}
-	}
-
-	// Phrase filter.
-	for _, p := range phrases {
-		for d := range candidates {
-			if !phraseInPostings(post, p, d) {
-				delete(candidates, d)
-			}
-		}
-		if len(candidates) == 0 {
-			return nil
-		}
-	}
-
-	// BM25 over the distinct query tokens, in sorted term order so the
-	// floating-point summation is deterministic and partition-independent.
-	hits := make([]Hit, 0, len(candidates))
-	for d := range candidates {
-		score := 0.0
-		for i, t := range distinct {
-			pl := post[t]
-			idx := sort.Search(len(pl), func(j int) bool { return pl[j].Doc >= d })
-			if idx >= len(pl) || pl[idx].Doc != d {
-				continue
-			}
-			tf := float64(len(pl[idx].Positions))
-			den := tf + bm25K1*(1-bm25B+bm25B*docLen[d]/avgLen)
-			score += idf[i] * tf * (bm25K1 + 1) / den
-		}
-		//etaplint:ignore determinism -- per-part hit order is irrelevant: the merge ranks by hitBetter (score desc, DocID asc), a strict total order, so insertion order cannot reach the output
-		hits = append(hits, Hit{DocID: ids[d], Score: score})
-	}
-	return hits
+// scratch is the working memory of one part's share of a query or
+// co-occurrence count: the encoded bytes of the term being read, the
+// decoded postings and positions of every term fetched, the per-term
+// lists with their merge cursors, the phrase positions of the current
+// candidate, and the hits found. The caller takes it from the pool,
+// hands it to one part, copies what it needs out of hits and puts it
+// back; hits themselves hold only a DocID and a score, never a
+// reference into the decoded postings. Once the pool's scratches have
+// grown to the largest lists seen, a query decodes and matches without
+// allocating in proportion to the postings it scans.
+type scratch struct {
+	buf    []byte
+	pl     []Posting
+	pos    []int32
+	lists  [][]Posting
+	cur    []int
+	phrase [][]int32
+	hits   []Hit
 }
 
-// phraseInPostings reports whether the phrase occurs contiguously in
-// part-local doc d, given the part's fetched postings.
-func phraseInPostings(post map[string][]Posting, phrase []string, d int32) bool {
-	// Gather position lists for each phrase token in doc d.
-	lists := make([][]int32, len(phrase))
-	for i, t := range phrase {
-		pl := post[t]
-		idx := sort.Search(len(pl), func(j int) bool { return pl[j].Doc >= d })
-		if idx >= len(pl) || pl[idx].Doc != d {
-			return false
-		}
-		lists[i] = pl[idx].Positions
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes an empty scratch from the pool.
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch empties sc and returns it to the pool; nothing read from
+// sc may be used afterwards.
+func putScratch(sc *scratch) {
+	// An in-memory part's lists and positions are its live postings:
+	// a pooled scratch must not pin them.
+	clear(sc.lists)
+	clear(sc.phrase)
+	sc.pl, sc.pos, sc.lists, sc.hits = sc.pl[:0], sc.pos[:0], sc.lists[:0], sc.hits[:0]
+	scratchPool.Put(sc)
+}
+
+// matchAndScore resolves a query against one part's postings and
+// appends the matching documents to sc.hits. lists holds the part's
+// postings list for each of q.distinct, in order (nil when the term
+// does not occur in the part); every list is sorted by Doc, so the
+// conjunctive match is a merge that walks each list once, led by the
+// shortest. Each candidate then passes every phrase's adjacency check
+// and is scored by BM25 with the caller-supplied global idf values and
+// average document length. The hits are unordered; the caller merges
+// and ranks across parts. Scores are bit-identical regardless of how
+// documents are partitioned because every per-document input (tf,
+// docLen, idf, avgLen) and the summation order (sorted distinct terms)
+// are partition-independent.
+func matchAndScore(q *partQuery, lists [][]Posting, docLen []float64, ids []string, sc *scratch) {
+	if len(lists) == 0 {
+		return
 	}
-	// For each start position of token 0, check the chain.
-	for _, p0 := range lists[0] {
+	lead := 0
+	for i, pl := range lists {
+		if len(pl) == 0 {
+			return // conjunctive: this part holds no matching docs
+		}
+		if len(pl) < len(lists[lead]) {
+			lead = i
+		}
+	}
+	cur := append(sc.cur[:0], make([]int, len(lists))...)
+	sc.cur = cur
+
+candidates:
+	for _, p := range lists[lead] {
+		d := p.Doc
+		for i, pl := range lists {
+			c := cur[i]
+			for c < len(pl) && pl[c].Doc < d {
+				c++
+			}
+			cur[i] = c
+			if c == len(pl) {
+				return // a list is exhausted: no later document matches
+			}
+			if pl[c].Doc != d {
+				continue candidates
+			}
+		}
+		for _, phrase := range q.phrases {
+			pos := sc.phrase[:0]
+			for _, t := range phrase {
+				pos = append(pos, lists[t][cur[t]].Positions)
+			}
+			sc.phrase = pos
+			if !phraseInPostings(pos) {
+				continue candidates
+			}
+		}
+
+		// BM25 over the distinct query tokens, in sorted term order so
+		// the floating-point summation is deterministic and
+		// partition-independent.
+		score := 0.0
+		for i, pl := range lists {
+			tf := float64(len(pl[cur[i]].Positions))
+			den := tf + bm25K1*(1-bm25B+bm25B*docLen[d]/q.avgLen)
+			score += q.idf[i] * tf * (bm25K1 + 1) / den
+		}
+		sc.hits = append(sc.hits, Hit{DocID: ids[d], Score: score})
+	}
+}
+
+// phraseInPostings reports whether a phrase occurs contiguously in one
+// document, given that document's positions of each phrase token in
+// phrase order. The caller owns pos and reuses it across candidates.
+func phraseInPostings(pos [][]int32) bool {
+	for _, p0 := range pos[0] {
 		ok := true
-		for i := 1; i < len(lists); i++ {
-			if !contains32(lists[i], p0+int32(i)) {
+		for i := 1; i < len(pos); i++ {
+			if !contains32(pos[i], p0+int32(i)) {
 				ok = false
 				break
 			}
@@ -231,22 +315,12 @@ func phraseInPostings(post map[string][]Posting, phrase []string, d int32) bool 
 	return false
 }
 
-// countCoDoc counts documents present in both postings lists — the
-// whole-document co-occurrence the PMI-IR lexicon induction uses.
-func countCoDoc(pa, pb []Posting) int {
-	da := docSet(pa)
-	n := 0
-	for _, p := range pb {
-		if da[p.Doc] {
-			n++
-		}
-	}
-	return n
-}
-
-// countCoNear counts documents where the two postings lists have a
-// position pair within the window — Turney's NEAR operator.
-func countCoNear(pa, pb []Posting, window int32) int {
+// countCo counts the documents two postings lists share, by a merge
+// over their ascending doc IDs. With window <= 0 every shared document
+// counts — the whole-document co-occurrence the PMI-IR lexicon
+// induction uses; otherwise only documents holding a position pair
+// within window do — Turney's NEAR operator.
+func countCo(pa, pb []Posting, window int32) int {
 	n := 0
 	i, j := 0, 0
 	for i < len(pa) && j < len(pb) {
@@ -256,7 +330,7 @@ func countCoNear(pa, pb []Posting, window int32) int {
 		case pa[i].Doc > pb[j].Doc:
 			j++
 		default:
-			if positionsNear(pa[i].Positions, pb[j].Positions, window) {
+			if window <= 0 || positionsNear(pa[i].Positions, pb[j].Positions, window) {
 				n++
 			}
 			i++

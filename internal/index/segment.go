@@ -475,31 +475,37 @@ func crcRange(r io.ReaderAt, off, n int64) (uint32, error) {
 	return crc, nil
 }
 
-// postings decodes one term's postings list from disk; absent terms
-// and (never expected after a verified open) decode failures return
-// nil, counting the latter so operators can see a faulting segment.
-func (s *segment) postings(t string) []Posting {
+// postings reads one term's postings list into sc and returns it
+// decoded, restricted to the documents within holds when within is not
+// nil (see decodePostings); the list aliases sc, so it is valid until
+// sc goes back to the pool. Absent terms and (never expected after a
+// verified open) read or decode failures return nil, counting the
+// latter so operators can see a faulting segment.
+func (s *segment) postings(t string, within []Posting, sc *scratch) []Posting {
 	e, ok := s.dict[t]
 	if !ok {
 		return nil
 	}
-	buf := make([]byte, e.blen)
-	if _, err := s.data.ReadAt(buf, s.postBase+int64(e.off)); err != nil {
-		mSegReadFailures.Inc()
-		return nil
-	}
-	pl, err := decodePostings(buf)
+	buf, err := s.rawPostings(e, sc.buf)
 	if err != nil {
 		mSegReadFailures.Inc()
 		return nil
 	}
-	return pl
+	sc.buf = buf
+	start := len(sc.pl)
+	pl, pos, err := decodePostings(buf, within, sc.pl, sc.pos)
+	if err != nil {
+		mSegReadFailures.Inc()
+		return nil
+	}
+	sc.pl, sc.pos = pl, pos
+	return pl[start:len(pl):len(pl)]
 }
 
 // rawPostings reads one term's encoded postings bytes without decoding
-// them, reusing buf when it is large enough — the merge path copies
-// these bytes into the merged file nearly verbatim (see
-// writeMergedSegment).
+// them, reusing buf when it is large enough — queries decode them from
+// their scratch buffer (postings), and the merge path copies them into
+// the merged file nearly verbatim (see writeMergedSegment).
 func (s *segment) rawPostings(e dictEntry, buf []byte) ([]byte, error) {
 	if uint64(cap(buf)) < e.blen {
 		buf = make([]byte, e.blen)
@@ -521,34 +527,48 @@ func (s *segment) snapshotStats(distinct []string) partStats {
 	return st
 }
 
-// searchPart implements part: each needed term's postings are decoded
-// once, then the shared matchAndScore runs exactly as it does for the
-// in-RAM parts.
-func (s *segment) searchPart(allTerms []string, phrases [][]string, distinct []string, idf []float64, avgLen float64) []Hit {
-	fetched := make(map[string][]Posting, len(distinct))
-	for _, t := range distinct {
-		fetched[t] = s.postings(t)
+// searchPart implements part: the terms are decoded into sc rarest
+// first, each keeping only the documents every term before it holds,
+// then the shared matchAndScore runs over those lists exactly as it
+// does for the in-RAM parts — conjunctive matching cannot tell a list
+// from its intersection with the others. A term that leaves no
+// document ends the search before the remaining terms are read.
+func (s *segment) searchPart(q *partQuery, sc *scratch) {
+	sc.lists = append(sc.lists[:0], make([][]Posting, len(q.distinct))...)
+	var within []Posting
+	for range q.distinct {
+		next := -1
+		for i, t := range q.distinct {
+			if sc.lists[i] == nil && (next < 0 || s.dict[t].df < s.dict[q.distinct[next]].df) {
+				next = i
+			}
+		}
+		pl := s.postings(q.distinct[next], within, sc)
+		if len(pl) == 0 {
+			return
+		}
+		sc.lists[next], within = pl, pl
 	}
-	return matchAndScore(fetched, s.docLens, s.ids, allTerms, phrases, distinct, idf, avgLen)
+	matchAndScore(q, sc.lists, s.docLens, s.ids, sc)
 }
 
 // docFreq implements part.
 func (s *segment) docFreq(t string) int { return s.dict[t].df }
 
-// coDocFreq implements part.
-func (s *segment) coDocFreq(ta, tb string) int {
-	if s.dict[ta].df == 0 || s.dict[tb].df == 0 {
+// coFreq implements part: the rarer term is decoded whole and the other
+// only where it shares a document with it.
+func (s *segment) coFreq(ta, tb string, window int32, sc *scratch) int {
+	if s.dict[tb].df < s.dict[ta].df {
+		ta, tb = tb, ta
+	}
+	if s.dict[ta].df == 0 {
 		return 0
 	}
-	return countCoDoc(s.postings(ta), s.postings(tb))
-}
-
-// coNearFreq implements part.
-func (s *segment) coNearFreq(ta, tb string, window int32) int {
-	if s.dict[ta].df == 0 || s.dict[tb].df == 0 {
+	pa := s.postings(ta, nil, sc)
+	if len(pa) == 0 {
 		return 0
 	}
-	return countCoNear(s.postings(ta), s.postings(tb), window)
+	return countCo(pa, s.postings(tb, pa, sc), window)
 }
 
 // size implements part.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -26,23 +27,43 @@ func randomPostings(rng *rand.Rand, docs int) []Posting {
 	return pl
 }
 
+// TestPostingsRoundTrip decodes two lists after each other into one
+// reused scratch, as a co-occurrence count does, the second restricted
+// to the documents of the first: the first must come back exactly, the
+// second as exactly its postings in those documents, and decoding the
+// second must not disturb the first.
 func TestPostingsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var pl []Posting
+	var pos []int32
 	for trial := 0; trial < 200; trial++ {
-		want := randomPostings(rng, rng.Intn(40))
-		buf := appendPostings(nil, want)
-		got, err := decodePostings(buf)
-		if err != nil {
+		wantA := randomPostings(rng, rng.Intn(40))
+		b := randomPostings(rng, rng.Intn(40))
+		var err error
+		if pl, pos, err = decodePostings(appendPostings(nil, wantA), nil, pl[:0], pos[:0]); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if len(want) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: empty list decoded to %d postings", trial, len(got))
-			}
-			continue
+		gotA := pl
+		if pl, pos, err = decodePostings(appendPostings(nil, b), gotA, pl, pos); err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: round trip mismatch\nwant %v\ngot  %v", trial, want, got)
+		gotB := pl[len(gotA):]
+		var wantB []Posting
+		for _, p := range b {
+			if slices.ContainsFunc(wantA, func(a Posting) bool { return a.Doc == p.Doc }) {
+				wantB = append(wantB, p)
+			}
+		}
+		for _, c := range []struct{ got, want []Posting }{{gotA, wantA}, {gotB, wantB}} {
+			if len(c.want) == 0 {
+				if len(c.got) != 0 {
+					t.Fatalf("trial %d: decoded %d postings, want none", trial, len(c.got))
+				}
+				continue
+			}
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("trial %d: round trip mismatch\nwant %v\ngot  %v", trial, c.want, c.got)
+			}
 		}
 	}
 }
@@ -51,13 +72,13 @@ func TestPostingsDecodeRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	full := appendPostings(nil, randomPostings(rng, 20))
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodePostings(full[:cut]); err == nil && cut != 0 {
+		if _, _, err := decodePostings(full[:cut], nil, nil, nil); err == nil && cut != 0 {
 			// cut==0 is legitimately an empty encoding only if the list
 			// was empty; a 20-posting list must fail at every prefix.
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(full))
 		}
 	}
-	if _, err := decodePostings(append(append([]byte(nil), full...), 0x00)); err == nil {
+	if _, _, err := decodePostings(append(append([]byte(nil), full...), 0x00), nil, nil, nil); err == nil {
 		t.Fatal("decode accepted trailing bytes")
 	}
 }
@@ -95,8 +116,9 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 		t.Fatalf("segment size (%d,%d,%d) != memtable size (%d,%d,%d)", sd, st, sp, md, mt, mp)
 	}
 	// Every term's postings must survive the disk round trip exactly.
+	sc := new(scratch)
 	for term, tp := range m.dict {
-		got := s.postings(term)
+		got := s.postings(term, nil, sc)
 		if !reflect.DeepEqual(got, tp.pl) {
 			t.Fatalf("term %q postings mismatch", term)
 		}

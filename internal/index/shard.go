@@ -76,32 +76,24 @@ func (s *shard) snapshotStats(distinct []string) partStats {
 }
 
 // searchPart resolves the query against this shard's documents through
-// the shared matchAndScore algorithm, under the read lock. The fetched
-// postings map holds references into the shard's live postings slices;
-// it never escapes the lock.
-func (s *shard) searchPart(allTerms []string, phrases [][]string, distinct []string, idf []float64, avgLen float64) []Hit {
+// the shared matchAndScore algorithm, under the read lock. sc.lists
+// holds references into the shard's live postings slices; they never
+// escape the lock, and putScratch drops them.
+func (s *shard) searchPart(q *partQuery, sc *scratch) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	fetched := make(map[string][]Posting, len(distinct)+len(phrases))
-	for _, t := range distinct {
-		fetched[t] = s.postings[t]
+	for _, t := range q.distinct {
+		sc.lists = append(sc.lists, s.postings[t])
 	}
-	return matchAndScore(fetched, s.docLen, s.ids, allTerms, phrases, distinct, idf, avgLen)
+	matchAndScore(q, sc.lists, s.docLen, s.ids, sc)
 }
 
-// coDocFreq counts this shard's documents containing both terms.
-func (s *shard) coDocFreq(ta, tb string) int {
+// coFreq counts this shard's documents containing both terms (see
+// countCo); it needs no scratch.
+func (s *shard) coFreq(ta, tb string, window int32, _ *scratch) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return countCoDoc(s.postings[ta], s.postings[tb])
-}
-
-// coNearFreq counts this shard's documents where the two terms occur
-// within `window` positions of each other.
-func (s *shard) coNearFreq(ta, tb string, window int32) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return countCoNear(s.postings[ta], s.postings[tb], window)
+	return countCo(s.postings[ta], s.postings[tb], window)
 }
 
 // docFreq returns the shard-local document frequency of one term.
@@ -135,14 +127,6 @@ func contains32(sorted []int32, v int32) bool {
 		}
 	}
 	return lo < len(sorted) && sorted[lo] == v
-}
-
-func docSet(pl []Posting) map[int32]bool {
-	out := make(map[int32]bool, len(pl))
-	for _, p := range pl {
-		out[p.Doc] = true
-	}
-	return out
 }
 
 // positionsNear reports whether two sorted position lists have a pair

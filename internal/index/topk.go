@@ -1,6 +1,6 @@
 package index
 
-import "sort"
+import "slices"
 
 // hitBetter is the ranking order: higher score first, DocID ascending as
 // the deterministic tie-break. It is the single comparator shared by the
@@ -24,7 +24,14 @@ type topK struct {
 	all  []Hit // used when k <= 0
 }
 
-func newTopK(k int) *topK { return &topK{k: k} }
+// newTopK returns an empty selector for the k best of n hits; n sizes
+// its one allocation.
+func newTopK(k, n int) *topK {
+	if k <= 0 {
+		return &topK{k: k, all: make([]Hit, 0, n)}
+	}
+	return &topK{k: k, heap: make([]Hit, 0, min(k, n))}
+}
 
 func (t *topK) push(h Hit) {
 	if t.k <= 0 {
@@ -43,20 +50,25 @@ func (t *topK) push(h Hit) {
 	}
 }
 
-// results returns the retained hits in ranking order.
+// results returns the retained hits in ranking order, sorting them in
+// place: t is spent afterwards.
 func (t *topK) results() []Hit {
+	out := t.heap
 	if t.k <= 0 {
-		if len(t.all) == 0 {
-			return nil
-		}
-		sort.Slice(t.all, func(i, j int) bool { return hitBetter(t.all[i], t.all[j]) })
-		return t.all
+		out = t.all
 	}
-	if len(t.heap) == 0 {
+	if len(out) == 0 {
 		return nil
 	}
-	out := append([]Hit(nil), t.heap...)
-	sort.Slice(out, func(i, j int) bool { return hitBetter(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b Hit) int {
+		switch {
+		case hitBetter(a, b):
+			return -1
+		case hitBetter(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

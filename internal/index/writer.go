@@ -82,16 +82,13 @@ func (m *memSegment) snapshotStats(distinct []string) partStats {
 
 // searchPart implements part through the shared matchAndScore
 // algorithm, under the read lock.
-func (m *memSegment) searchPart(allTerms []string, phrases [][]string, distinct []string, idf []float64, avgLen float64) []Hit {
+func (m *memSegment) searchPart(q *partQuery, sc *scratch) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	fetched := make(map[string][]Posting, len(distinct))
-	for _, t := range distinct {
-		if tp := m.dict[t]; tp != nil {
-			fetched[t] = tp.pl
-		}
+	for _, t := range q.distinct {
+		sc.lists = append(sc.lists, m.listOf(t))
 	}
-	return matchAndScore(fetched, m.docLens, m.ids, allTerms, phrases, distinct, idf, avgLen)
+	matchAndScore(q, sc.lists, m.docLens, m.ids, sc)
 }
 
 // docFreq implements part.
@@ -104,18 +101,11 @@ func (m *memSegment) docFreq(t string) int {
 	return 0
 }
 
-// coDocFreq implements part.
-func (m *memSegment) coDocFreq(ta, tb string) int {
+// coFreq implements part; it needs no scratch.
+func (m *memSegment) coFreq(ta, tb string, window int32, _ *scratch) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return countCoDoc(m.listOf(ta), m.listOf(tb))
-}
-
-// coNearFreq implements part.
-func (m *memSegment) coNearFreq(ta, tb string, window int32) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return countCoNear(m.listOf(ta), m.listOf(tb), window)
+	return countCo(m.listOf(ta), m.listOf(tb), window)
 }
 
 // listOf returns a term's postings list; callers hold at least the
