@@ -91,10 +91,13 @@ func assembleWeb(eng index.Engine, pages []web.Page) *web.Web {
 	return w
 }
 
-// corpusPages converts generated documents to pages directly.
+// corpusPages converts generated documents to pages directly. A page
+// shares its text with its document: a generated document holds its
+// body once and Text returns it without copying.
 func corpusPages(docs []corpus.Document) []web.Page {
 	pages := make([]web.Page, len(docs))
-	for i, d := range docs {
+	for i := range docs {
+		d := &docs[i]
 		pages[i] = web.Page{
 			URL:   d.URL,
 			Host:  d.Host,

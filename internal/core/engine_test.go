@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"etap/internal/corpus"
 )
@@ -67,6 +68,38 @@ func TestBuildWebEngineReopen(t *testing.T) {
 		}
 		if fmt.Sprint(urls) != golden[q] {
 			t.Errorf("query %q: reopened engine diverged: %v", q, urls)
+		}
+	}
+}
+
+// The pages BuildWebEngine stores share their text with the generated
+// documents, whichever engine backs the web: the world's text is held
+// once.
+func TestBuildWebEngineSharesDocumentText(t *testing.T) {
+	docs := corpus.NewGenerator(corpus.Config{
+		Seed: 94, RelevantPerDriver: 5, BackgroundDocs: 10,
+		HardNegativePerDriver: 2, FamousEventDocs: 1,
+	}).World()
+	for name, cfg := range map[string]Config{"in-ram": {}, "segments": {IndexDir: t.TempDir()}} {
+		w, err := BuildWebEngine(docs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range docs {
+			d := &docs[i]
+			p, ok := w.Page(d.URL)
+			if !ok {
+				t.Fatalf("%s: page %s missing", name, d.URL)
+			}
+			if p.Text != d.Text() {
+				t.Fatalf("%s: page %s text differs from its document", name, d.URL)
+			}
+			if unsafe.StringData(p.Text) != unsafe.StringData(d.Sentences[0].Text) {
+				t.Fatalf("%s: page %s holds a copy of its document's text", name, d.URL)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package corpus
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,15 +50,45 @@ type Document struct {
 	Company   string
 	Sentences []Sentence
 	Links     []string // URLs of other documents
+
+	// body is a generated document's text, held once: every
+	// Sentence.Text and the Title are substrings of it.
+	body string
 }
 
-// Text renders the full document body (sentences joined by spaces).
+// Text renders the full document body (sentences joined by spaces). A
+// generated document holds that text already and returns it without
+// copying; a document built by hand, decoded, or whose sentences were
+// changed after generation gets the join.
 func (d *Document) Text() string {
+	if d.spells(d.body) {
+		return d.body
+	}
 	parts := make([]string, len(d.Sentences))
 	for i, s := range d.Sentences {
 		parts[i] = s.Text
 	}
 	return strings.Join(parts, " ")
+}
+
+// spells reports whether text is d's sentences joined by single spaces.
+// A sentence that still shares text's bytes compares equal by address,
+// so for a generated document the check is one step per sentence.
+func (d *Document) spells(text string) bool {
+	off := 0
+	for i, s := range d.Sentences {
+		if i > 0 {
+			if off == len(text) || text[off] != ' ' {
+				return false
+			}
+			off++
+		}
+		if !strings.HasPrefix(text[off:], s.Text) {
+			return false
+		}
+		off += len(s.Text)
+	}
+	return off == len(text)
 }
 
 // Config sizes the synthetic web.
@@ -132,7 +164,17 @@ type Generator struct {
 	cfg Config
 	rng *rand.Rand
 	seq int
-	buf []byte // fillWith's sentence buffer
+	// The page being written: each sentence's bytes are appended to buf
+	// as it is drawn, and page lists the sentences in page order.
+	buf  []byte
+	page []drawn
+}
+
+// drawn is a sentence written into the generator's buffer: its ground
+// truth (Text unset) and where its bytes sit in buf.
+type drawn struct {
+	Sentence
+	start, end int
 }
 
 // NewGenerator builds a seeded generator.
@@ -144,7 +186,9 @@ func NewGenerator(cfg Config) *Generator {
 // World generates the full synthetic web: relevant pages for every
 // driver, hard negatives, and background pages, with a hyperlink graph.
 func (g *Generator) World() []Document {
-	var docs []Document
+	c := g.cfg
+	docs := make([]Document, 0, len(Drivers)*(c.RelevantPerDriver+c.HardNegativePerDriver)+
+		len(famousPairs)*c.FamousEventDocs+c.BackgroundDocs)
 	for _, d := range Drivers {
 		for i := 0; i < g.cfg.RelevantPerDriver; i++ {
 			docs = append(docs, g.RelevantDoc(d))
@@ -168,37 +212,35 @@ func (g *Generator) World() []Document {
 // FamousEventDoc generates one page covering a famous acquisition: M&A
 // trigger sentences with both organizations pinned, plus the usual noise.
 func (g *Generator) FamousEventDoc(pair [2]string) Document {
-	var sents []Sentence
 	for i, n := 0, 2+g.rng.Intn(3); i < n; i++ {
 		pool := trainPool[MergersAcquisitions]
 		tpl := pool[g.rng.Intn(len(pool))]
-		sents = append(sents, Sentence{
-			Text:    g.fillPinned(tpl, pair[0], pair[1]),
-			Driver:  MergersAcquisitions,
-			Company: pair[0],
-		})
+		s := g.fillWith(tpl, name{first: pair[0]}, name{first: pair[1]})
+		s.Driver, s.Company = MergersAcquisitions, pair[0]
+		g.page = append(g.page, s)
 	}
 	for i, n := 0, 1+g.rng.Intn(2); i < n; i++ {
-		sents = append(sents, g.misleading(MergersAcquisitions))
+		g.page = append(g.page, g.misleading(MergersAcquisitions))
 	}
 	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
-		sents = append(sents, g.noise())
+		g.page = append(g.page, g.noise())
 	}
-	g.rng.Shuffle(len(sents), func(i, j int) { sents[i], sents[j] = sents[j], sents[i] })
-	sents = append(sents, g.boilerplate())
-	return g.newDoc(KindRelevant, MergersAcquisitions, pair[0], sents, g.rng.Intn(5))
+	g.shuffle()
+	g.page = append(g.page, g.boilerplate())
+	return g.newDoc(KindRelevant, MergersAcquisitions, pair[0], g.rng.Intn(5))
 }
 
 // linkDocs wires a random hyperlink graph: every page links to 2-5
 // others, biased toward pages on the same host (site navigation).
 func (g *Generator) linkDocs(docs []Document) {
 	byHost := map[string][]int{}
-	for i, d := range docs {
-		byHost[d.Host] = append(byHost[d.Host], i)
+	for i := range docs {
+		byHost[docs[i].Host] = append(byHost[docs[i].Host], i)
 	}
+	var picked []int // page i, then the pages it links to
 	for i := range docs {
 		n := 2 + g.rng.Intn(4)
-		seen := map[int]bool{i: true}
+		picked = append(picked[:0], i)
 		for k := 0; k < n; k++ {
 			var j int
 			if g.rng.Float64() < 0.6 {
@@ -207,19 +249,22 @@ func (g *Generator) linkDocs(docs []Document) {
 			} else {
 				j = g.rng.Intn(len(docs))
 			}
-			if seen[j] {
-				continue
+			if !slices.Contains(picked, j) {
+				picked = append(picked, j)
 			}
-			seen[j] = true
-			docs[i].Links = append(docs[i].Links, docs[j].URL)
 		}
 		// Guarantee connectivity: every page links somewhere.
-		for len(docs[i].Links) == 0 && len(docs) > 1 {
-			j := g.rng.Intn(len(docs))
-			if j == i {
-				continue
+		for len(picked) == 1 && len(docs) > 1 {
+			if j := g.rng.Intn(len(docs)); j != i {
+				picked = append(picked, j)
 			}
-			docs[i].Links = append(docs[i].Links, docs[j].URL)
+		}
+		if len(picked) == 1 {
+			continue // a one-page world has nothing to link to
+		}
+		docs[i].Links = make([]string, len(picked)-1)
+		for k, j := range picked[1:] {
+			docs[i].Links[k] = docs[j].URL
 		}
 	}
 }
@@ -230,146 +275,226 @@ func (g *Generator) linkDocs(docs []Document) {
 // valid trigger events and invalid sentences).
 func (g *Generator) RelevantDoc(d Driver) Document {
 	company := g.company()
-	var sents []Sentence
 
 	nTrig := 2 + g.rng.Intn(3)
 	for i := 0; i < nTrig; i++ {
-		sents = append(sents, g.trigger(d, company, false))
+		g.page = append(g.page, g.trigger(d, company, false))
 	}
 	nMislead := 1 + g.rng.Intn(3)
 	for i := 0; i < nMislead; i++ {
-		sents = append(sents, g.misleading(d))
+		g.page = append(g.page, g.misleading(d))
 	}
 	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
-		sents = append(sents, g.neutral())
+		g.page = append(g.page, g.neutral())
 	}
 	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
-		sents = append(sents, g.noise())
+		g.page = append(g.page, g.noise())
 	}
-	g.rng.Shuffle(len(sents), func(i, j int) { sents[i], sents[j] = sents[j], sents[i] })
+	g.shuffle()
 	// Boilerplate frames the page.
-	sents = append(sents, g.boilerplate())
+	g.page = append(g.page, g.boilerplate())
 
-	doc := g.newDoc(KindRelevant, d, company, sents, g.rng.Intn(5)) // news hosts 0-4
-	return doc
+	return g.newDoc(KindRelevant, d, company, g.rng.Intn(5)) // news hosts 0-4
 }
 
 // HardNegativeDoc generates a page full of near-miss content for d.
 func (g *Generator) HardNegativeDoc(d Driver) Document {
-	var sents []Sentence
 	for i, n := 0, 2+g.rng.Intn(3); i < n; i++ {
-		sents = append(sents, g.misleading(d))
+		g.page = append(g.page, g.misleading(d))
 	}
 	for i, n := 0, 2+g.rng.Intn(3); i < n; i++ {
-		sents = append(sents, g.neutral())
+		g.page = append(g.page, g.neutral())
 	}
 	for i, n := 0, 1+g.rng.Intn(2); i < n; i++ {
-		sents = append(sents, g.noise())
+		g.page = append(g.page, g.noise())
 	}
-	g.rng.Shuffle(len(sents), func(i, j int) { sents[i], sents[j] = sents[j], sents[i] })
-	sents = append(sents, g.boilerplate())
-	return g.newDoc(KindHardNegative, d, "", sents, g.rng.Intn(len(hosts)))
+	g.shuffle()
+	g.page = append(g.page, g.boilerplate())
+	return g.newDoc(KindHardNegative, d, "", g.rng.Intn(len(hosts)))
 }
 
 // BackgroundDoc generates a page with no driver content. Sentences within
 // one page never repeat verbatim (real pages do not stutter).
 func (g *Generator) BackgroundDoc() Document {
-	var sents []Sentence
-	seen := map[string]bool{}
 	for i, n := 0, 3+g.rng.Intn(5); i < n; i++ {
-		var s Sentence
+		var s drawn
 		for tries := 0; tries < 10; tries++ {
+			if tries > 0 {
+				g.buf = g.buf[:s.start] // drop the repeat before drawing again
+			}
 			if g.rng.Float64() < 0.35 {
 				s = g.neutral()
 			} else {
 				s = g.noise()
 			}
-			if !seen[s.Text] {
+			if !g.repeats(s) {
 				break
 			}
 		}
-		seen[s.Text] = true
-		sents = append(sents, s)
+		g.page = append(g.page, s)
 	}
 	if g.rng.Float64() < 0.5 {
-		sents = append(sents, g.boilerplate())
+		g.page = append(g.page, g.boilerplate())
 	}
-	return g.newDoc(KindBackground, "", "", sents, g.rng.Intn(len(hosts)))
+	return g.newDoc(KindBackground, "", "", g.rng.Intn(len(hosts)))
 }
 
-func (g *Generator) newDoc(kind DocKind, d Driver, company string, sents []Sentence, hostIdx int) Document {
+// repeats reports whether s, just written, spells one of the page's
+// earlier sentences.
+func (g *Generator) repeats(s drawn) bool {
+	for _, p := range g.page {
+		if bytes.Equal(g.buf[p.start:p.end], g.buf[s.start:s.end]) {
+			return true
+		}
+	}
+	return false
+}
+
+// shuffle puts the page's sentences in random order; the spans move
+// with them.
+func (g *Generator) shuffle() {
+	g.rng.Shuffle(len(g.page), func(i, j int) { g.page[i], g.page[j] = g.page[j], g.page[i] })
+}
+
+// newDoc turns the page written so far into a Document and starts the
+// next one. The sentences' bytes are copied, in page order and joined by
+// spaces, into the document's one body string; every Sentence.Text and
+// the Title are slices of it.
+func (g *Generator) newDoc(kind DocKind, d Driver, company string, hostIdx int) Document {
 	g.seq++
-	id := fmt.Sprintf("doc-%05d", g.seq)
 	host := hosts[hostIdx]
+	url := fmt.Sprintf("http://%s/doc-%05d", host, g.seq)
+	var b strings.Builder
+	b.Grow(len(g.buf) + len(g.page) - 1) // buf holds exactly the page's sentences
+	for i, s := range g.page {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.Write(g.buf[s.start:s.end])
+	}
+	body := b.String()
+	sents := make([]Sentence, len(g.page))
+	off := 0
+	for i, s := range g.page {
+		n := s.end - s.start
+		sents[i] = s.Sentence
+		sents[i].Text = body[off : off+n]
+		off += n + 1
+	}
+	g.buf, g.page = g.buf[:0], g.page[:0]
+
 	title := strings.TrimSuffix(sents[0].Text, ".")
 	if len(title) > 60 {
 		title = title[:60]
 	}
 	title = strings.TrimSpace(title)
 	return Document{
-		ID:        id,
-		URL:       fmt.Sprintf("http://%s/%s", host, id),
+		ID:        url[strings.LastIndexByte(url, '/')+1:],
+		URL:       url,
 		Host:      host,
 		Title:     title,
 		Kind:      kind,
 		Driver:    d,
 		Company:   company,
 		Sentences: sents,
+		body:      body,
 	}
 }
 
 // --- sentence realization ----------------------------------------------
+//
+// Each realizer writes one sentence at the end of the generator's buffer
+// and returns it as a drawn span: a page keeps it in g.page, a snippet
+// takes it out as a string with text.
+
+// text returns s, the sentence just written, as a string of its own and
+// takes its bytes back out of the buffer.
+func (g *Generator) text(s drawn) string {
+	t := string(g.buf[s.start:s.end])
+	g.buf = g.buf[:s.start]
+	return t
+}
 
 // trigger realizes one trigger sentence for d about company. heldout
 // selects the held-out template pool.
-func (g *Generator) trigger(d Driver, company string, heldout bool) Sentence {
+func (g *Generator) trigger(d Driver, company string, heldout bool) drawn {
 	pool := trainPool[d]
 	if heldout {
 		pool = heldoutPool[d]
 	}
 	tpl := pool[g.rng.Intn(len(pool))]
-	return Sentence{
-		Text:    g.fill(tpl, company),
-		Driver:  d,
-		Company: company,
-	}
+	s := g.fill(tpl, company)
+	s.Driver, s.Company = d, company
+	return s
 }
 
-func (g *Generator) misleading(d Driver) Sentence {
+func (g *Generator) misleading(d Driver) drawn {
 	pool := misleadingPool[d]
 	tpl := pool[g.rng.Intn(len(pool))]
-	return Sentence{Text: g.fill(tpl, ""), Misleading: true}
+	s := g.fill(tpl, "")
+	s.Misleading = true
+	return s
 }
 
-func (g *Generator) neutral() Sentence {
-	tpl := neutralPool[g.rng.Intn(len(neutralPool))]
-	return Sentence{Text: g.fill(tpl, "")}
+func (g *Generator) neutral() drawn {
+	return g.fill(neutralPool[g.rng.Intn(len(neutralPool))], "")
 }
 
-func (g *Generator) noise() Sentence {
-	tpl := noisePool[g.rng.Intn(len(noisePool))]
-	return Sentence{Text: g.fill(tpl, "")}
+func (g *Generator) noise() drawn {
+	return g.fill(noisePool[g.rng.Intn(len(noisePool))], "")
 }
 
-func (g *Generator) boilerplate() Sentence {
-	tpl := boilerplatePool[g.rng.Intn(len(boilerplatePool))]
-	return Sentence{Text: g.fill(tpl, "")}
+func (g *Generator) boilerplate() drawn {
+	return g.fill(boilerplatePool[g.rng.Intn(len(boilerplatePool))], "")
+}
+
+// name is a drawn name in one or two pieces (a person's first name and
+// surname, a company's core and suffix, or a one-piece company), written
+// as its pieces joined by a space. Drawing one composes nothing; only a
+// template slot that holds the name writes it.
+type name struct{ first, last string }
+
+func (n name) appendTo(b []byte) []byte {
+	b = append(b, n.first...)
+	if n.last == "" {
+		return b
+	}
+	b = append(b, ' ')
+	return append(b, n.last...)
+}
+
+// equal reports whether n and m are written the same. Names split at
+// different places can match: a one-piece "Blue Ridge" equals core
+// "Blue" with suffix "Ridge". Both are written into stack buffers, so
+// comparing allocates nothing.
+func (n name) equal(m name) bool {
+	var a, b [64]byte
+	return string(n.appendTo(a[:0])) == string(m.appendTo(b[:0]))
 }
 
 // company draws a company name: usually gazetteer core + suffix, sometimes
 // a well-known org, sometimes out-of-gazetteer (NER-invisible).
 func (g *Generator) company() string {
+	n := g.companyName()
+	if n.last == "" {
+		return n.first
+	}
+	return n.first + " " + n.last
+}
+
+// companyName is company's draw, returned in its pieces.
+func (g *Generator) companyName() name {
 	r := g.rng.Float64()
 	switch {
 	case r < g.cfg.UnknownEntityRate:
 		// Unknown core without a suffix: the NER cannot see it.
-		return gazetteer.UnknownOrgCores[g.rng.Intn(len(gazetteer.UnknownOrgCores))]
+		return name{first: gazetteer.UnknownOrgCores[g.rng.Intn(len(gazetteer.UnknownOrgCores))]}
 	case r < g.cfg.UnknownEntityRate+0.15:
-		return gazetteer.KnownOrgs[g.rng.Intn(len(gazetteer.KnownOrgs))]
+		return name{first: gazetteer.KnownOrgs[g.rng.Intn(len(gazetteer.KnownOrgs))]}
 	default:
 		core := gazetteer.CompanyCores[g.rng.Intn(len(gazetteer.CompanyCores))]
 		suffix := gazetteer.CompanySuffixes[g.rng.Intn(len(gazetteer.CompanySuffixes))]
-		return core + " " + suffix
+		return name{first: core, last: suffix}
 	}
 }
 
@@ -387,40 +512,35 @@ func (g *Generator) designation() string {
 	return gazetteer.Designations[g.rng.Intn(len(gazetteer.Designations))]
 }
 
-func (g *Generator) person() string {
+func (g *Generator) person() name {
 	first := gazetteer.FirstNames[g.rng.Intn(len(gazetteer.FirstNames))]
 	if g.rng.Float64() < g.cfg.UnknownEntityRate {
-		return first + " " + gazetteer.UnknownSurnames[g.rng.Intn(len(gazetteer.UnknownSurnames))]
+		return name{first, gazetteer.UnknownSurnames[g.rng.Intn(len(gazetteer.UnknownSurnames))]}
 	}
-	return first + " " + gazetteer.LastNames[g.rng.Intn(len(gazetteer.LastNames))]
+	return name{first, gazetteer.LastNames[g.rng.Intn(len(gazetteer.LastNames))]}
 }
 
 // fill expands placeholders in tpl. company, when non-empty, pins {ORG1}.
-func (g *Generator) fill(tpl template, company string) string {
-	org1 := company
-	if org1 == "" {
-		org1 = g.company()
+func (g *Generator) fill(tpl template, company string) drawn {
+	org1 := name{first: company}
+	if company == "" {
+		org1 = g.companyName()
 	}
-	org2 := g.company()
-	for org2 == org1 {
-		org2 = g.company()
+	org2 := g.companyName()
+	for org2.equal(org1) {
+		org2 = g.companyName()
 	}
-	return g.fillWith(tpl, org1, org2)
-}
-
-// fillPinned expands placeholders with both organizations fixed.
-func (g *Generator) fillPinned(tpl template, org1, org2 string) string {
 	return g.fillWith(tpl, org1, org2)
 }
 
 // fillWith draws every placeholder value, used by tpl or not, and
-// writes the sentence in one pass. The draws and their order decide
-// every later value the generator produces: reordering, adding or
-// skipping one changes every world.
-func (g *Generator) fillWith(tpl template, org1, org2 string) string {
+// writes the sentence in one pass at the end of the buffer. The draws
+// and their order decide every later value the generator produces:
+// reordering, adding or skipping one changes every world.
+func (g *Generator) fillWith(tpl template, org1, org2 name) drawn {
 	prsn := g.person()
 	prsn2 := g.person()
-	for prsn2 == prsn {
+	for prsn2.equal(prsn) {
 		prsn2 = g.person()
 	}
 	year := 1980 + g.rng.Intn(25)
@@ -439,19 +559,20 @@ func (g *Generator) fillWith(tpl template, org1, org2 string) string {
 	posPhrase := positivePhrases[g.rng.Intn(len(positivePhrases))]
 	negPhrase := negativePhrases[g.rng.Intn(len(negativePhrases))]
 
-	b := g.buf[:0]
+	b := g.buf
+	start := len(b)
 	for _, p := range tpl {
 		switch p.slot {
 		case slotLiteral:
 			b = append(b, p.lit...)
 		case slotORG1:
-			b = append(b, org1...)
+			b = org1.appendTo(b)
 		case slotORG2:
-			b = append(b, org2...)
+			b = org2.appendTo(b)
 		case slotPRSN:
-			b = append(b, prsn...)
+			b = prsn.appendTo(b)
 		case slotPRSN2:
-			b = append(b, prsn2...)
+			b = prsn2.appendTo(b)
 		case slotDESIG:
 			b = append(b, desig...)
 		case slotCUR:
@@ -479,7 +600,7 @@ func (g *Generator) fillWith(tpl template, org1, org2 string) string {
 		}
 	}
 	g.buf = b
-	return string(b)
+	return drawn{start: start, end: len(b)}
 }
 
 // money is a drawn currency amount ("$120 million", "$3 billion").

@@ -144,8 +144,7 @@ func TestTriggerSentencesCarryEntities(t *testing.T) {
 	check := func(d Driver, want ner.Category) {
 		hits := 0
 		for i := 0; i < 30; i++ {
-			s := g.trigger(d, g.company(), false)
-			for _, e := range rec.RecognizeText(s.Text) {
+			for _, e := range rec.RecognizeText(g.text(g.trigger(d, g.company(), false))) {
 				if e.Category == want {
 					hits++
 					break

@@ -71,11 +71,12 @@ func TestTriggerPropertyCompanyInText(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		for _, d := range Drivers {
 			s := g.trigger(d, g.company(), i%2 == 0)
+			text := g.text(s)
 			if s.Company == "" {
 				t.Fatalf("trigger without company: %+v", s)
 			}
-			if !strings.Contains(s.Text, s.Company) {
-				t.Fatalf("company %q absent from %q", s.Company, s.Text)
+			if !strings.Contains(text, s.Company) {
+				t.Fatalf("company %q absent from %q", s.Company, text)
 			}
 		}
 	}

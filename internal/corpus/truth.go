@@ -24,12 +24,12 @@ func (g *Generator) PurePositives(d Driver, n int) []LabeledSnippet {
 	out := make([]LabeledSnippet, 0, n)
 	for i := 0; i < n; i++ {
 		company := g.company()
-		parts := []string{g.trigger(d, company, true).Text}
+		parts := []string{g.text(g.trigger(d, company, true))}
 		for k := 0; k < 2; k++ {
 			if g.rng.Float64() < 0.5 {
-				parts = append(parts, g.neutral().Text)
+				parts = append(parts, g.text(g.neutral()))
 			} else {
-				parts = append(parts, g.noise().Text)
+				parts = append(parts, g.text(g.noise()))
 			}
 		}
 		g.rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
@@ -55,11 +55,11 @@ func (g *Generator) BackgroundSnippets(n int) []LabeledSnippet {
 			for tries := 0; tries < 10; tries++ {
 				switch {
 				case g.rng.Float64() < 0.3:
-					text = g.neutral().Text
+					text = g.text(g.neutral())
 				case g.rng.Float64() < 0.15:
-					text = g.boilerplate().Text
+					text = g.text(g.boilerplate())
 				default:
-					text = g.noise().Text
+					text = g.text(g.noise())
 				}
 				if !seen[text] {
 					break
@@ -83,9 +83,9 @@ func (g *Generator) BackgroundSnippets(n int) []LabeledSnippet {
 func (g *Generator) MisleadingSnippets(d Driver, n int) []LabeledSnippet {
 	draw := func() string {
 		if pool := misleadingHeldoutPool[d]; len(pool) > 0 && g.rng.Float64() < 0.5 {
-			return g.fill(pool[g.rng.Intn(len(pool))], "")
+			return g.text(g.fill(pool[g.rng.Intn(len(pool))], ""))
 		}
-		return g.misleading(d).Text
+		return g.text(g.misleading(d))
 	}
 	out := make([]LabeledSnippet, 0, n)
 	for i := 0; i < n; i++ {
@@ -94,7 +94,7 @@ func (g *Generator) MisleadingSnippets(d Driver, n int) []LabeledSnippet {
 			if g.rng.Float64() < 0.5 {
 				parts = append(parts, draw())
 			} else {
-				parts = append(parts, g.neutral().Text)
+				parts = append(parts, g.text(g.neutral()))
 			}
 		}
 		out = append(out, LabeledSnippet{Text: strings.Join(parts, " ")})

@@ -66,17 +66,52 @@ func loadManifest(dir string) (manifest, error) {
 	if err != nil {
 		return manifest{}, err
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := parseManifest(data)
+	if err != nil {
 		return manifest{}, fmt.Errorf("manifest %s: %w", dir, err)
 	}
+	return m, nil
+}
+
+// parseManifest decodes and validates a manifest (STORAGE.md §4). A
+// manifest names files the index opens and later deletes, and its
+// next_id decides the names new segments take, so it is accepted only
+// if every segment's file is the canonical name of its ID (nothing
+// outside the directory or under another segment's name), IDs strictly
+// ascend, next_id exceeds every ID, and no count is negative.
+func parseManifest(data []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return manifest{}, err
+	}
 	if m.Format != manifestFormat {
-		return manifest{}, fmt.Errorf("manifest %s: format %d, this build reads %d", dir, m.Format, manifestFormat)
+		return manifest{}, fmt.Errorf("format %d, this build reads %d", m.Format, manifestFormat)
 	}
 	if m.NextID == 0 {
 		m.NextID = 1
 	}
+	for i, s := range m.Segments {
+		switch {
+		case s.File != segmentFileName(s.ID):
+			return manifest{}, fmt.Errorf("segment %d: file %q, want %q", s.ID, s.File, segmentFileName(s.ID))
+		case i > 0 && s.ID <= m.Segments[i-1].ID:
+			return manifest{}, fmt.Errorf("segment %d listed after segment %d", s.ID, m.Segments[i-1].ID)
+		case s.ID >= m.NextID:
+			return manifest{}, fmt.Errorf("segment %d is not below next_id %d", s.ID, m.NextID)
+		case s.Docs < 0 || s.Bytes < 0:
+			return manifest{}, fmt.Errorf("segment %d: negative docs %d or bytes %d", s.ID, s.Docs, s.Bytes)
+		}
+	}
 	return m, nil
+}
+
+// encodeManifest renders m as MANIFEST.json holds it.
+func encodeManifest(m manifest) ([]byte, error) {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // commitManifest atomically publishes a new manifest: write to a
@@ -85,7 +120,7 @@ func loadManifest(dir string) (manifest, error) {
 // manifest fully intact — never a mixture — because rename(2) within
 // one directory is atomic and the directory fsync persists the switch.
 func commitManifest(dir string, m manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := encodeManifest(m)
 	if err != nil {
 		return err
 	}
@@ -94,7 +129,7 @@ func commitManifest(dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		cerr := f.Close()
 		if cerr != nil {
 			return fmt.Errorf("%w (and close: %v)", err, cerr)

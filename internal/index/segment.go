@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -128,8 +129,6 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 	if err != nil {
 		return writtenSegment{}, err
 	}
-	cw := &countingWriter{w: bufio.NewWriterSize(f, 1<<16)}
-
 	fail := func(err error) (writtenSegment, error) {
 		// Best-effort cleanup of the partial temp file; a leftover is
 		// harmless (openers ignore and remove non-manifest files).
@@ -141,10 +140,37 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 		}
 		return writtenSegment{}, err
 	}
+	w := bufio.NewWriterSize(f, 1<<16)
+	ws, err := encodeSegmentFrame(w, ids, docLens, totalLen, terms, emit)
+	if err != nil {
+		return fail(err)
+	}
+	if err := w.Flush(); err != nil {
+		return fail(err)
+	}
+	// The commit protocol requires the data durable before the rename
+	// that publishes it and before any manifest references it.
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		if rerr := os.Remove(path); rerr != nil {
+			err = fmt.Errorf("%w (and remove: %v)", err, rerr)
+		}
+		return writtenSegment{}, err
+	}
+	return ws, nil
+}
+
+// encodeSegmentFrame writes the frame writeSegmentFrame describes to w,
+// which the caller flushes.
+func encodeSegmentFrame(w *bufio.Writer, ids []string, docLens []float64, totalLen float64, terms []string, emit func(t string, scratch []byte) ([]byte, int, error)) (writtenSegment, error) {
+	cw := &countingWriter{w: w}
+	var err error
 
 	// Header.
 	if _, err := cw.Write(append([]byte(segMagic), segVersion)); err != nil {
-		return fail(err)
+		return writtenSegment{}, err
 	}
 
 	// Doc table.
@@ -152,14 +178,14 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 	var scratch []byte
 	scratch = binary.AppendUvarint(scratch[:0], uint64(len(ids)))
 	if _, err := cw.Write(scratch); err != nil {
-		return fail(err)
+		return writtenSegment{}, err
 	}
 	for i, id := range ids {
 		scratch = binary.AppendUvarint(scratch[:0], uint64(len(id)))
 		scratch = append(scratch, id...)
 		scratch = binary.AppendUvarint(scratch, uint64(docLens[i]))
 		if _, err := cw.Write(scratch); err != nil {
-			return fail(err)
+			return writtenSegment{}, err
 		}
 	}
 
@@ -172,10 +198,10 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 		var df int
 		scratch, df, err = emit(t, scratch[:0])
 		if err != nil {
-			return fail(err)
+			return writtenSegment{}, err
 		}
 		if _, err := cw.Write(scratch); err != nil {
-			return fail(err)
+			return writtenSegment{}, err
 		}
 		extents[i] = dictEntry{off: uint64(start), blen: uint64(cw.n - postOff - start), df: df}
 		posts += df
@@ -185,7 +211,7 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 	dictOff := cw.n
 	scratch = binary.AppendUvarint(scratch[:0], uint64(len(terms)))
 	if _, err := cw.Write(scratch); err != nil {
-		return fail(err)
+		return writtenSegment{}, err
 	}
 	dict := make(map[string]dictEntry, len(terms))
 	for i, t := range terms {
@@ -195,7 +221,7 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 		scratch = binary.AppendUvarint(scratch, extents[i].blen)
 		scratch = binary.AppendUvarint(scratch, uint64(extents[i].df))
 		if _, err := cw.Write(scratch); err != nil {
-			return fail(err)
+			return writtenSegment{}, err
 		}
 		dict[t] = extents[i]
 	}
@@ -211,21 +237,6 @@ func writeSegmentFrame(path string, ids []string, docLens []float64, totalLen fl
 	footer = binary.LittleEndian.AppendUint32(footer, crc)
 	footer = append(footer, segFooterEnd...)
 	if _, err := cw.Write(footer); err != nil {
-		return fail(err)
-	}
-
-	if err := cw.w.Flush(); err != nil {
-		return fail(err)
-	}
-	// The commit protocol requires the data durable before the rename
-	// that publishes it and before any manifest references it.
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		if rerr := os.Remove(path); rerr != nil {
-			err = fmt.Errorf("%w (and remove: %v)", err, rerr)
-		}
 		return writtenSegment{}, err
 	}
 	return writtenSegment{
@@ -315,142 +326,183 @@ func openSegment(path string, id uint64, wantBytes int64, wantCRC uint32) (*segm
 	if err != nil {
 		return nil, err
 	}
-	s := &segment{id: id, path: path, data: data, bytes: size}
-	ok := false
-	defer func() {
-		if !ok {
-			if cerr := data.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	}()
-
+	var s *segment
 	if size != wantBytes {
-		return nil, fmt.Errorf("segment %s: size %d, manifest says %d", path, size, wantBytes)
+		err = fmt.Errorf("size %d, manifest says %d", size, wantBytes)
+	} else {
+		s, err = decodeSegment(data, size, wantCRC)
 	}
+	if err != nil {
+		if cerr := data.Close(); cerr != nil {
+			err = fmt.Errorf("%w (and close: %v)", err, cerr)
+		}
+		return nil, fmt.Errorf("segment %s: %w", path, err)
+	}
+	s.id, s.path, s.data, s.bytes = id, path, data, size
+	return s, nil
+}
+
+// decodeSegment verifies the size bytes of a segment file read through
+// r and decodes its doc table and dictionary. It accepts exactly what
+// writeSegmentFrame writes: every section where the footer puts it and
+// consumed to its last byte, terms in strictly ascending order, and
+// postings extents that tile the postings section in term order. Every
+// count is bounded by the bytes of its section before anything is sized
+// from it — a doc entry takes at least 2 bytes, a dictionary entry at
+// least 4 — so a file claiming more than it holds is an error, not an
+// out-of-memory crash, whatever its checksum says.
+func decodeSegment(r io.ReaderAt, size int64, wantCRC uint32) (*segment, error) {
 	if size < int64(len(segMagic))+1+segFooterLen {
-		return nil, fmt.Errorf("segment %s: %d bytes is below the minimum frame", path, size)
+		return nil, fmt.Errorf("%d bytes is below the minimum frame", size)
 	}
 
 	// Verify the checksum over everything before the footer.
-	crc, err := crcRange(data, 0, size-segFooterLen)
+	crc, err := crcRange(r, 0, size-segFooterLen)
 	if err != nil {
-		return nil, fmt.Errorf("segment %s: checksumming: %w", path, err)
+		return nil, fmt.Errorf("checksumming: %w", err)
 	}
 
 	// Footer.
 	footer := make([]byte, segFooterLen)
-	if _, err := data.ReadAt(footer, size-segFooterLen); err != nil {
-		return nil, fmt.Errorf("segment %s: footer: %w", path, err)
+	if _, err := r.ReadAt(footer, size-segFooterLen); err != nil {
+		return nil, fmt.Errorf("footer: %w", err)
 	}
 	if string(footer[segFooterLen-4:]) != segFooterEnd {
-		return nil, fmt.Errorf("segment %s: bad footer magic", path)
+		return nil, fmt.Errorf("bad footer magic")
 	}
-	docsOff := int64(binary.LittleEndian.Uint64(footer[0:]))
-	postOff := int64(binary.LittleEndian.Uint64(footer[8:]))
-	dictOff := int64(binary.LittleEndian.Uint64(footer[16:]))
+	docsOff := binary.LittleEndian.Uint64(footer[0:])
+	postOff := binary.LittleEndian.Uint64(footer[8:])
+	dictOff := binary.LittleEndian.Uint64(footer[16:])
 	docCount := binary.LittleEndian.Uint64(footer[24:])
 	termCount := binary.LittleEndian.Uint64(footer[32:])
 	fileCRC := binary.LittleEndian.Uint32(footer[40:])
 	if fileCRC != crc {
-		return nil, fmt.Errorf("segment %s: checksum %08x, footer says %08x", path, crc, fileCRC)
+		return nil, fmt.Errorf("checksum %08x, footer says %08x", crc, fileCRC)
 	}
 	if crc != wantCRC {
-		return nil, fmt.Errorf("segment %s: checksum %08x, manifest says %08x", path, crc, wantCRC)
+		return nil, fmt.Errorf("checksum %08x, manifest says %08x", crc, wantCRC)
 	}
 	header := make([]byte, len(segMagic)+1)
-	if _, err := data.ReadAt(header, 0); err != nil {
-		return nil, fmt.Errorf("segment %s: header: %w", path, err)
+	if _, err := r.ReadAt(header, 0); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
 	}
 	if string(header[:len(segMagic)]) != segMagic {
-		return nil, fmt.Errorf("segment %s: bad magic", path)
+		return nil, fmt.Errorf("bad magic")
 	}
 	if header[len(segMagic)] != segVersion {
-		return nil, fmt.Errorf("segment %s: format version %d, want %d", path, header[len(segMagic)], segVersion)
+		return nil, fmt.Errorf("format version %d, want %d", header[len(segMagic)], segVersion)
 	}
-	if docsOff < 0 || postOff < docsOff || dictOff < postOff || dictOff > size-segFooterLen {
-		return nil, fmt.Errorf("segment %s: inconsistent section offsets", path)
+	if docsOff != uint64(len(header)) || postOff < docsOff || dictOff < postOff || dictOff > uint64(size-segFooterLen) {
+		return nil, fmt.Errorf("inconsistent section offsets")
 	}
-	s.postBase = postOff
+	s := &segment{postBase: int64(postOff)}
 
 	// Doc table.
 	buf := make([]byte, postOff-docsOff)
-	if _, err := data.ReadAt(buf, docsOff); err != nil {
-		return nil, fmt.Errorf("segment %s: doc table: %w", path, err)
+	if _, err := r.ReadAt(buf, int64(docsOff)); err != nil {
+		return nil, fmt.Errorf("doc table: %w", err)
 	}
 	n, off, err := readUvarint(buf, 0)
 	if err != nil {
-		return nil, fmt.Errorf("segment %s: doc count: %w", path, err)
+		return nil, fmt.Errorf("doc count: %w", err)
 	}
 	if n != docCount {
-		return nil, fmt.Errorf("segment %s: doc table holds %d docs, footer says %d", path, n, docCount)
+		return nil, fmt.Errorf("doc table holds %d docs, footer says %d", n, docCount)
+	}
+	if n > uint64(len(buf)-off)/2 {
+		return nil, fmt.Errorf("doc table claims %d docs in %d bytes", n, len(buf)-off)
 	}
 	s.ids = make([]string, 0, n)
 	s.docLens = make([]float64, 0, n)
 	for i := uint64(0); i < n; i++ {
 		idLen, o, err := readUvarint(buf, off)
 		if err != nil {
-			return nil, fmt.Errorf("segment %s: doc %d id length: %w", path, i, err)
+			return nil, fmt.Errorf("doc %d id length: %w", i, err)
 		}
 		off = o
-		if off+int(idLen) > len(buf) {
-			return nil, fmt.Errorf("segment %s: doc %d id overruns table", path, i)
+		if idLen > uint64(len(buf)-off) {
+			return nil, fmt.Errorf("doc %d id overruns table", i)
 		}
 		id := string(buf[off : off+int(idLen)])
 		off += int(idLen)
 		tokens, o, err := readUvarint(buf, off)
 		if err != nil {
-			return nil, fmt.Errorf("segment %s: doc %d length: %w", path, i, err)
+			return nil, fmt.Errorf("doc %d length: %w", i, err)
+		}
+		if tokens > math.MaxInt32 {
+			return nil, fmt.Errorf("doc %d length %d beyond int32", i, tokens)
 		}
 		off = o
 		s.ids = append(s.ids, id)
 		s.docLens = append(s.docLens, float64(tokens))
 		s.totalLen += float64(tokens)
 	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("%d bytes after the doc table", len(buf)-off)
+	}
 
 	// Dictionary.
-	buf = make([]byte, size-segFooterLen-dictOff)
-	if _, err := data.ReadAt(buf, dictOff); err != nil {
-		return nil, fmt.Errorf("segment %s: dictionary: %w", path, err)
+	buf = make([]byte, uint64(size-segFooterLen)-dictOff)
+	if _, err := r.ReadAt(buf, int64(dictOff)); err != nil {
+		return nil, fmt.Errorf("dictionary: %w", err)
 	}
 	n, off, err = readUvarint(buf, 0)
 	if err != nil {
-		return nil, fmt.Errorf("segment %s: term count: %w", path, err)
+		return nil, fmt.Errorf("term count: %w", err)
 	}
 	if n != termCount {
-		return nil, fmt.Errorf("segment %s: dictionary holds %d terms, footer says %d", path, n, termCount)
+		return nil, fmt.Errorf("dictionary holds %d terms, footer says %d", n, termCount)
+	}
+	if n > uint64(len(buf)-off)/4 {
+		return nil, fmt.Errorf("dictionary claims %d terms in %d bytes", n, len(buf)-off)
 	}
 	s.dict = make(map[string]dictEntry, n)
 	s.terms = make([]string, 0, n)
+	postings := dictOff - postOff // the postings section's length
+	var end uint64                // where the previous term's postings ended
 	for i := uint64(0); i < n; i++ {
 		tLen, o, err := readUvarint(buf, off)
 		if err != nil {
-			return nil, fmt.Errorf("segment %s: term %d length: %w", path, i, err)
+			return nil, fmt.Errorf("term %d length: %w", i, err)
 		}
 		off = o
-		if off+int(tLen) > len(buf) {
-			return nil, fmt.Errorf("segment %s: term %d overruns dictionary", path, i)
+		if tLen > uint64(len(buf)-off) {
+			return nil, fmt.Errorf("term %d overruns dictionary", i)
 		}
 		t := string(buf[off : off+int(tLen)])
 		off += int(tLen)
+		if i > 0 && t <= s.terms[i-1] {
+			return nil, fmt.Errorf("term %q out of order after %q", t, s.terms[i-1])
+		}
 		var e dictEntry
 		if e.off, off, err = readUvarint(buf, off); err != nil {
-			return nil, fmt.Errorf("segment %s: term %q offset: %w", path, t, err)
+			return nil, fmt.Errorf("term %q offset: %w", t, err)
 		}
 		if e.blen, off, err = readUvarint(buf, off); err != nil {
-			return nil, fmt.Errorf("segment %s: term %q extent: %w", path, t, err)
+			return nil, fmt.Errorf("term %q extent: %w", t, err)
 		}
+		if e.off != end || e.blen > postings-end {
+			return nil, fmt.Errorf("term %q postings [%d, +%d) do not follow the previous term's within the %d-byte section", t, e.off, e.blen, postings)
+		}
+		end += e.blen
 		var df uint64
 		if df, off, err = readUvarint(buf, off); err != nil {
-			return nil, fmt.Errorf("segment %s: term %q df: %w", path, t, err)
+			return nil, fmt.Errorf("term %q df: %w", t, err)
+		}
+		if df > docCount {
+			return nil, fmt.Errorf("term %q df %d exceeds the %d docs", t, df, docCount)
 		}
 		e.df = int(df)
 		s.dict[t] = e
 		s.terms = append(s.terms, t)
 		s.posts += e.df
 	}
-
-	ok = true
+	if off != len(buf) {
+		return nil, fmt.Errorf("%d bytes after the dictionary", len(buf)-off)
+	}
+	if end != postings {
+		return nil, fmt.Errorf("postings extents cover %d of the section's %d bytes", end, postings)
+	}
 	return s, nil
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -202,4 +203,31 @@ func TestOpenRejectsTornSegment(t *testing.T) {
 		t.Fatalf("pristine segment rejected: %v", err)
 	}
 	s.close()
+}
+
+// A segment that claims more than it holds fails to open with an error,
+// even with a valid checksum: doc and term counts are bounded by their
+// sections' bytes before anything is sized from them, a df cannot
+// exceed the doc count, and postings must lie in the postings section.
+func TestOpenSegmentRejectsOverclaims(t *testing.T) {
+	valid, bad := overclaimingSegments(t)
+	open := func(b []byte) error {
+		path := filepath.Join(t.TempDir(), "seg.seg")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := openSegment(path, 1, int64(len(b)), crc32.ChecksumIEEE(b[:len(b)-segFooterLen]))
+		if err == nil {
+			s.close()
+		}
+		return err
+	}
+	if err := open(valid); err != nil {
+		t.Fatalf("valid segment rejected: %v", err)
+	}
+	for name, b := range bad {
+		if err := open(b); err == nil {
+			t.Errorf("%s: open accepted the segment", name)
+		}
+	}
 }
