@@ -1,14 +1,15 @@
 # CI entry points. `make ci` is vet + build + lint + race-enabled
 # tests. The GitHub Actions workflow runs the same checks as separate
 # steps (go vet, go build, `make lint`, `make lint-bench`, go test
-# -race), then `make doccheck`, `make examples`, `make fmt-check`, the
-# benchmark module's vet and tests (`make bench-check`), one run of
-# every benchmark (`make bench`) and a time-boxed pass of every fuzz
-# target (`make fuzz`).
+# -race, then the lock-free lead-read stress `make race-reads`), then
+# `make doccheck`, `make examples`, `make fmt-check`, the benchmark
+# module's vet and tests (`make bench-check`), one run of every
+# benchmark (`make bench`) and a time-boxed pass of every fuzz target
+# (`make fuzz`).
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race race-reads bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -48,6 +49,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Lead reads walk the store's published snapshots without a lock, so
+# the tests that interleave writers, reviews and readers of every lead
+# endpoint run 20 times under the race detector (about 15 s on 2 vCPUs).
+race-reads:
+	$(GO) test -race -count=20 -run 'TestSnapshotsUnderConcurrentWrites|TestLeadReadsConcurrentWithWrites' ./internal/store ./internal/serve
 
 # One pass over every benchmark (quality numbers + observability
 # overhead). CI runs it so the benchmarks that size performance claims

@@ -237,7 +237,14 @@ func contains(ss []string, s string) bool {
 // alias resolution. The returned pointer is shared; callers must not
 // mutate it.
 func (k *KB) Lookup(company string) (*Company, bool) {
-	c, ok := k.byKey[rank.Canonical(company)]
+	return k.LookupKey(rank.Canonical(company))
+}
+
+// LookupKey is Lookup for a name already in canonical form
+// (rank.Canonical), so a caller that holds the key skips
+// canonicalizing it again.
+func (k *KB) LookupKey(key string) (*Company, bool) {
+	c, ok := k.byKey[key]
 	return c, ok
 }
 

@@ -51,17 +51,24 @@ func ByBlend(events []Event, icp func(Event) float64, w BlendWeights) []BlendRan
 			Blended: Blend(ev.Score, fit, w),
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Blended != out[j].Blended {
-			return out[i].Blended > out[j].Blended
-		}
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].SnippetID < out[j].SnippetID
-	})
+	sort.SliceStable(out, func(i, j int) bool { return BlendBefore(&out[i], &out[j]) })
 	for i := range out {
 		out[i].Rank = i + 1
 	}
 	return out
+}
+
+// BlendBefore reports whether a ranks ahead of b in ByBlend's order:
+// higher blended score first, then higher base score, then smaller
+// snippet ID. Snippet IDs are unique in a lead store, so over its leads
+// the order is total and the first k of it are the same k however
+// they are found.
+func BlendBefore(a, b *BlendRanked) bool {
+	if a.Blended != b.Blended {
+		return a.Blended > b.Blended
+	}
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.SnippetID < b.SnippetID
 }

@@ -48,12 +48,21 @@ type Ranked struct {
 // ByScore sorts events by descending classifier score (ties broken by
 // snippet id for determinism) and assigns ranks — the Figure 7 view.
 func ByScore(events []Event) []Ranked {
-	return rankBy(events, func(a, b Event) bool {
-		if a.Score != b.Score {
-			return a.Score > b.Score
+	return rankBy(events, func(a, b Event) bool { return CompareScore(&a, &b) < 0 })
+}
+
+// CompareScore orders events the way ByScore ranks them: it is negative
+// when a ranks ahead of b (higher score, or an equal score and a
+// smaller snippet ID), positive when b does, and 0 only for equal
+// scores and snippet IDs.
+func CompareScore(a, b *Event) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
 		}
-		return a.SnippetID < b.SnippetID
-	})
+		return 1
+	}
+	return strings.Compare(a.SnippetID, b.SnippetID)
 }
 
 // ByOrientation sorts events by descending absolute orientation — the
@@ -110,27 +119,51 @@ type CompanyScore struct {
 // resolution (see Canonical). Results are sorted by descending MRR, ties
 // by company name.
 func CompanyMRR(ranked []Ranked) []CompanyScore {
-	type acc struct {
-		sum   float64
-		count int
-		name  string // first surface form seen, for display
-	}
-	byCompany := map[string]*acc{}
+	var acc MRRAccumulator
 	for _, r := range ranked {
-		if r.Company == "" || r.Rank <= 0 {
-			continue
-		}
-		key := Canonical(r.Company)
-		a, ok := byCompany[key]
-		if !ok {
-			a = &acc{name: r.Company}
-			byCompany[key] = a
-		}
-		a.sum += 1 / float64(r.Rank)
-		a.count++
+		acc.Add(r.Company, Canonical(r.Company), r.Rank)
 	}
-	out := make([]CompanyScore, 0, len(byCompany))
-	for _, a := range byCompany {
+	return acc.Scores()
+}
+
+// MRRAccumulator is CompanyMRR fed one ranked event at a time, for
+// callers that walk their per-driver rankings in place and already
+// hold each company's canonical key. The zero value is ready to use.
+type MRRAccumulator struct {
+	byCompany map[string]*mrrAcc
+}
+
+type mrrAcc struct {
+	sum   float64
+	count int
+	name  string // first surface form seen, for display
+}
+
+// Add counts one trigger event of company, whose canonical key
+// (Canonical(company)) is key, at 1-based rank pos. Events without a
+// company or a rank are skipped. Reciprocal ranks are summed in the
+// order Add is called, so equal call sequences give equal bits.
+func (m *MRRAccumulator) Add(company, key string, pos int) {
+	if company == "" || pos <= 0 {
+		return
+	}
+	if m.byCompany == nil {
+		m.byCompany = map[string]*mrrAcc{}
+	}
+	a, ok := m.byCompany[key]
+	if !ok {
+		a = &mrrAcc{name: company}
+		m.byCompany[key] = a
+	}
+	a.sum += 1 / float64(pos)
+	a.count++
+}
+
+// Scores returns every company's MRR, sorted by descending MRR, ties
+// by company name.
+func (m *MRRAccumulator) Scores() []CompanyScore {
+	out := make([]CompanyScore, 0, len(m.byCompany))
+	for _, a := range m.byCompany {
 		out = append(out, CompanyScore{
 			Company: a.name,
 			MRR:     a.sum / float64(a.count),

@@ -26,19 +26,12 @@ import (
 )
 
 // AddLeads implements alert.Sink over the server's lead store: streamed
-// events land exactly where batch extraction puts them, under the same
-// lock, bumping the same checkpoint revision.
+// events land exactly where batch extraction puts them. Even a
+// zero-added call may refresh scores of existing leads, so the store
+// publishes (and advances the checkpoint revision) for any non-empty
+// batch.
 func (s *Server) AddLeads(events []rank.Event, now time.Time) int {
-	if len(events) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	added := s.leads.Add(events, now)
-	// Even a zero-added call may refresh scores of existing leads, so
-	// any non-empty batch advances the revision for the checkpointer.
-	s.rev.Add(1)
-	return added
+	return s.leads.Add(events, now)
 }
 
 // AttachAlerts mounts the streaming API over an alert manager. Call

@@ -71,9 +71,7 @@ func TestBatchStreamingEquivalence(t *testing.T) {
 	}
 	mustFlush(t, m)
 
-	srv.mu.RLock()
 	streamed := srv.leads.Find(store.Query{})
-	srv.mu.RUnlock()
 	var streamedEvents []rank.Event
 	for _, l := range streamed {
 		streamedEvents = append(streamedEvents, l.Event)

@@ -34,32 +34,29 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"etap/internal/alert"
 	"etap/internal/core"
 	"etap/internal/kb"
 	"etap/internal/obs"
-	"etap/internal/rank"
 	"etap/internal/store"
 	"etap/internal/tenant"
 )
 
 // Server wires a trained system and a lead store into an http.Handler.
-// All handlers are safe for concurrent use; store reads take a shared
-// lock so concurrent GETs don't serialize, mutations take the write
-// lock.
+// All handlers are safe for concurrent use. No handler takes a lock:
+// reads walk the store's current snapshot, and writes go through the
+// store, which serializes them itself.
 type Server struct {
 	sys *core.System
 
-	mu    sync.RWMutex
-	leads *store.Store
-	rev   atomic.Uint64 // store mutation count, bumped under mu
+	leads   *store.Store
+	baseRev uint64 // the store's revision when the server was built
 
 	reg    *obs.Registry
 	start  time.Time
@@ -69,7 +66,6 @@ type Server struct {
 
 	kbase   *kb.KB           // nil until AttachKB
 	tenants *tenant.Registry // nil until AttachTenants
-	tcache  *tenant.Cache    // created by AttachTenants
 
 	tenantRequests *obs.Counter // tenant-scoped /leads requests
 	quotaClamps    *obs.Counter // responses truncated by a profile quota
@@ -92,7 +88,7 @@ func NewWithRegistry(sys *core.System, leads *store.Store, reg *obs.Registry) *S
 		reg = obs.Default
 	}
 	//etaplint:ignore determinism -- metrics-only timing: the start time feeds the uptime gauge and /healthz uptime, never a lead or a ranking
-	s := &Server{sys: sys, leads: leads, reg: reg, start: time.Now(), mux: http.NewServeMux()}
+	s := &Server{sys: sys, leads: leads, baseRev: leads.Snapshot().Revision(), reg: reg, start: time.Now(), mux: http.NewServeMux()}
 	s.registerRuntimeMetrics()
 	s.registerBuildInfo()
 	s.handle("GET", "/healthz", s.handleHealth)
@@ -149,19 +145,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Revision returns the lead-store mutation count: it increments on
-// every successful state change through the API, so a checkpointer can
-// skip saves when nothing changed.
-func (s *Server) Revision() uint64 { return s.rev.Load() }
+// Revision returns the lead-store mutation count since the server was
+// built: it increments on every write call that reaches the store (a
+// non-empty AddLeads, a successful review), so a checkpointer can skip
+// saves when nothing changed.
+func (s *Server) Revision() uint64 { return s.leads.Snapshot().Revision() - s.baseRev }
 
-// SaveLeads checkpoints the lead store to path (atomic write+rename)
-// under the store's read lock, returning the revision the snapshot
-// captured. Mutations take the write lock, so the revision and the
-// written bytes are consistent.
+// SaveLeads checkpoints one lead-store snapshot to path (atomic
+// write+rename) and returns the revision it was published at. Writers
+// publish new snapshots meanwhile without waiting for the save.
 func (s *Server) SaveLeads(path string) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rev.Load(), s.leads.SaveFile(path)
+	snap := s.leads.Snapshot()
+	return snap.Revision() - s.baseRev, snap.SaveFile(path)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -196,9 +191,7 @@ type Health struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
 	n := s.leads.Len()
-	s.mu.RUnlock()
 	drivers := 0
 	if s.sys != nil {
 		drivers = len(s.sys.Drivers())
@@ -270,18 +263,22 @@ func (s *Server) handleLeads(w http.ResponseWriter, r *http.Request) {
 		s.handleTenantLeads(w, q, tenantID, minScore, top)
 		return
 	}
-	s.mu.RLock()
-	results := s.leads.Find(store.Query{
+	var results []*store.Lead
+	s.leads.Snapshot().Walk(baseQuery(q, minScore), func(l *store.Lead) bool {
+		results = append(results, l)
+		return len(results) < top
+	})
+	writeJSON(w, http.StatusOK, s.enrichLeads(results))
+}
+
+// baseQuery is the store query /leads and /leads?tenant= share.
+func baseQuery(q url.Values, minScore float64) store.Query {
+	return store.Query{
 		Driver:     q.Get("driver"),
 		Company:    q.Get("company"),
 		MinScore:   minScore,
 		Unreviewed: q.Get("unreviewed") == "1",
-	})
-	s.mu.RUnlock()
-	if len(results) > top {
-		results = results[:top]
 	}
-	writeJSON(w, http.StatusOK, s.enrichLeads(results))
 }
 
 func (s *Server) handleReview(w http.ResponseWriter, r *http.Request) {
@@ -290,13 +287,7 @@ func (s *Server) handleReview(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing id")
 		return
 	}
-	s.mu.Lock()
-	ok := s.leads.MarkReviewed(id)
-	if ok {
-		s.rev.Add(1)
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !s.leads.MarkReviewed(id) {
 		writeError(w, http.StatusNotFound, "unknown lead")
 		return
 	}
@@ -334,27 +325,9 @@ func (s *Server) handleCompanies(w http.ResponseWriter, r *http.Request) {
 		}
 		top = n
 	}
-	// Rank all stored leads per driver, then aggregate (Equation 2).
-	s.mu.RLock()
-	all := s.leads.Find(store.Query{})
-	s.mu.RUnlock()
-	byDriver := map[string][]rank.Event{}
-	for _, l := range all {
-		byDriver[l.Driver] = append(byDriver[l.Driver], l.Event)
-	}
-	// CompanyMRR keeps the first surface form of a company it meets and
-	// sums reciprocal ranks in input order, so drivers go in sorted
-	// order: the same store must answer with the same bytes.
-	drivers := make([]string, 0, len(byDriver))
-	for d := range byDriver {
-		drivers = append(drivers, d)
-	}
-	sort.Strings(drivers)
-	var ranked []rank.Ranked
-	for _, d := range drivers {
-		ranked = append(ranked, rank.ByScore(byDriver[d])...)
-	}
-	scores := rank.CompanyMRR(ranked)
+	// Equation 2 over every stored lead, ranked per driver; the
+	// snapshot computes it once and every later read shares it.
+	scores := s.leads.Snapshot().CompanyMRR()
 	if len(scores) > top {
 		scores = scores[:top]
 	}

@@ -5,22 +5,22 @@
 // re-ranked by the blend of rank score and ICP fit, floored by the
 // profile's minScore and capped by its quota. Attaching a knowledge
 // base additionally stamps every served lead with its subject's
-// firmographic record.
+// firmographic record. Tenant reads are recomputed on every request
+// over the lead store's current snapshot; nothing is memoized.
 //
 //	GET    /tenants       list tenant ICP profiles
 //	POST   /tenants       create a profile (ID assigned when omitted)
 //	GET    /tenants/{id}  fetch one profile
-//	PUT    /tenants/{id}  replace a profile's ICP (revision bump
-//	                      invalidates its cached results)
+//	PUT    /tenants/{id}  replace a profile's ICP (the next read uses it)
 //	DELETE /tenants/{id}  delete a profile
 package serve
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/url"
+	"sort"
 
 	"etap/internal/kb"
 	"etap/internal/rank"
@@ -39,7 +39,6 @@ func (s *Server) AttachKB(k *kb.KB) { s.kbase = k }
 // caller.
 func (s *Server) AttachTenants(reg *tenant.Registry) {
 	s.tenants = reg
-	s.tcache = tenant.NewCache(0, s.reg)
 	s.tenantRequests = s.reg.Counter("etap_tenant_lead_requests_total",
 		"Tenant-scoped /leads requests.")
 	s.quotaClamps = s.reg.Counter("etap_tenant_quota_clamps_total",
@@ -122,113 +121,138 @@ type TenantLead struct {
 	KB      *kb.Company `json:"kb,omitempty"`
 }
 
-// tenantQueryKey canonicalizes the cacheable query parameters.
-func tenantQueryKey(q url.Values, minScore float64, top int) string {
-	return fmt.Sprintf("d=%s&c=%s&min=%g&top=%d&u=%s",
-		q.Get("driver"), q.Get("company"), minScore, top, q.Get("unreviewed"))
-}
-
-// lookupKB resolves a lead's company to its knowledge-base record;
+// lookupKB resolves a lead's company to its knowledge-base record
+// through the canonical key the store computed when the lead entered;
 // nil when no KB is attached or the company is unknown.
-func (s *Server) lookupKB(company string) *kb.Company {
+func (s *Server) lookupKB(l *store.Lead) *kb.Company {
 	if s.kbase == nil {
 		return nil
 	}
-	if c, ok := s.kbase.Lookup(company); ok {
+	if c, ok := s.kbase.LookupKey(l.CanonicalCompany()); ok {
 		return c
 	}
 	return nil
 }
 
-// handleTenantLeads serves /leads?tenant=: hard ICP filter over the
-// base query, blended re-rank, minScore floor, quota clamp, KB
-// enrichment. Results are memoized per (tenant, query) and
-// invalidated by profile or lead-store generation.
+// tenantCandidate is one lead that passed a tenant's ICP filter and
+// score floor, with its blend computed once.
+type tenantCandidate struct {
+	lead *store.Lead
+	kb   *kb.Company
+	br   rank.BlendRanked
+}
+
+// topBlended keeps the best k candidates in rank.BlendBefore's order:
+// a binary heap whose root is the worst candidate kept.
+type topBlended struct {
+	k     int
+	items []tenantCandidate
+}
+
+// worse reports whether item i ranks after item j.
+func (t *topBlended) worse(i, j int) bool {
+	return rank.BlendBefore(&t.items[j].br, &t.items[i].br)
+}
+
+// offer keeps c if it is among the best k seen so far.
+func (t *topBlended) offer(c tenantCandidate) {
+	if len(t.items) < t.k {
+		t.items = append(t.items, c)
+		for i := len(t.items) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !t.worse(i, p) {
+				break
+			}
+			t.items[i], t.items[p] = t.items[p], t.items[i]
+			i = p
+		}
+		return
+	}
+	if !rank.BlendBefore(&c.br, &t.items[0].br) {
+		return
+	}
+	t.items[0] = c
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(t.items) {
+			return
+		}
+		if r := m + 1; r < len(t.items) && t.worse(r, m) {
+			m = r
+		}
+		if !t.worse(m, i) {
+			return
+		}
+		t.items[i], t.items[m] = t.items[m], t.items[i]
+		i = m
+	}
+}
+
+// handleTenantLeads serves /leads?tenant=: the base query and the
+// tenant's hard ICP filter applied while walking the store snapshot,
+// each candidate's blend computed once, the profile's minScore floor,
+// and the best min(top, quota) kept in blended order, KB-enriched.
+// Snippet IDs are unique, so the blended order is total and the kept
+// leads are exactly the first ones a full sort would give.
 func (s *Server) handleTenantLeads(w http.ResponseWriter, q url.Values, tenantID string, minScore float64, top int) {
 	if s.tenants == nil {
 		writeError(w, http.StatusBadRequest, "tenant filtering not enabled")
 		return
 	}
 	s.tenantRequests.Inc()
-	profile, profRev, err := s.tenants.Get(tenantID)
+	profile, _, err := s.tenants.Get(tenantID)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
-	}
-	key := tenantQueryKey(q, minScore, top)
-	if v, ok := s.tcache.Get(tenantID, key, profRev, s.rev.Load()); ok {
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	// Snapshot the store and its revision under one read lock so the
-	// cache entry can never pair new results with an old generation.
-	s.mu.RLock()
-	storeRev := s.rev.Load()
-	results := s.leads.Find(store.Query{
-		Driver:     q.Get("driver"),
-		Company:    q.Get("company"),
-		MinScore:   minScore,
-		Unreviewed: q.Get("unreviewed") == "1",
-		Filter: func(l store.Lead) bool {
-			return profile.MatchCompany(s.lookupKB(l.Company))
-		},
-	})
-	s.mu.RUnlock()
-
-	byID := make(map[string]store.Lead, len(results))
-	events := make([]rank.Event, 0, len(results))
-	for _, l := range results {
-		byID[l.SnippetID] = l
-		events = append(events, l.Event)
-	}
-	ranked := rank.ByBlend(events, func(ev rank.Event) float64 {
-		return profile.Score(s.lookupKB(ev.Company), ev.Text)
-	}, rank.DefaultBlend)
-
-	out := make([]TenantLead, 0, len(ranked))
-	for _, br := range ranked {
-		if br.Blended < profile.MinScore {
-			continue
-		}
-		out = append(out, TenantLead{
-			Lead:    byID[br.SnippetID],
-			ICP:     br.ICP,
-			Blended: br.Blended,
-			KB:      s.lookupKB(br.Company),
-		})
 	}
 	limit := top
 	if profile.Quota > 0 && profile.Quota < limit {
 		limit = profile.Quota
 	}
-	if len(out) > limit {
-		out = out[:limit]
-		if limit < top {
-			s.quotaClamps.Inc()
+	best := topBlended{k: limit}
+	matched := 0
+	s.leads.Snapshot().Walk(baseQuery(q, minScore), func(l *store.Lead) bool {
+		c := s.lookupKB(l)
+		if !profile.MatchCompany(c) {
+			return true
 		}
+		icp := profile.Score(c, l.Text)
+		cand := tenantCandidate{lead: l, kb: c, br: rank.BlendRanked{
+			Event: l.Event, ICP: icp, Blended: rank.Blend(l.Score, icp, rank.DefaultBlend),
+		}}
+		if cand.br.Blended < profile.MinScore {
+			return true
+		}
+		matched++
+		best.offer(cand)
+		return true
+	})
+	if matched > limit && limit < top {
+		s.quotaClamps.Inc()
 	}
-	// Ranks are positions in the final tenant-visible list.
-	for i := range out {
-		out[i].Rank = i + 1
+	sort.Slice(best.items, func(i, j int) bool { return rank.BlendBefore(&best.items[i].br, &best.items[j].br) })
+	out := make([]TenantLead, 0, len(best.items))
+	for i, c := range best.items {
+		// Ranks are positions in the final tenant-visible list.
+		out = append(out, TenantLead{Lead: *c.lead, Rank: i + 1, ICP: c.br.ICP, Blended: c.br.Blended, KB: c.kb})
 	}
-	s.tcache.Put(tenantID, key, profRev, storeRev, out)
 	writeJSON(w, http.StatusOK, out)
 }
 
 // enrichLeads wraps base /leads results with knowledge-base records
 // when a KB is attached; without one the input is returned as-is, so
 // single-tenant deployments see the original response shape.
-func (s *Server) enrichLeads(results []store.Lead) any {
+func (s *Server) enrichLeads(results []*store.Lead) any {
 	if s.kbase == nil {
 		return results
 	}
 	type enriched struct {
-		store.Lead
+		*store.Lead
 		KB *kb.Company `json:"kb,omitempty"`
 	}
 	out := make([]enriched, 0, len(results))
 	for _, l := range results {
-		out = append(out, enriched{Lead: l, KB: s.lookupKB(l.Company)})
+		out = append(out, enriched{Lead: l, KB: s.lookupKB(l)})
 	}
 	return out
 }

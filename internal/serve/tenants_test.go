@@ -185,7 +185,7 @@ func TestTenantLeadsDisjointAndRestart(t *testing.T) {
 		}
 	}
 
-	// Same query again is deterministic (and exercises the cache path).
+	// Same query again is deterministic.
 	_, bodyA2 := get(t, f.srv, "/leads?tenant="+a.ID)
 	if !bytes.Equal(bodyA, bodyA2) {
 		t.Fatalf("repeated tenant query diverged:\n%s\nvs\n%s", bodyA, bodyA2)
@@ -233,9 +233,9 @@ func TestTenantLeadsDisjointAndRestart(t *testing.T) {
 	}
 }
 
-// TestTenantLeadsProfileUpdateInvalidates checks a cached tenant view
-// can never outlive its ICP: after an update the next read reflects
-// the new profile.
+// TestTenantLeadsProfileUpdateInvalidates checks a tenant view can
+// never outlive its ICP: after an update the next read reflects the
+// new profile.
 func TestTenantLeadsProfileUpdateInvalidates(t *testing.T) {
 	f := newTenantFixture(t)
 	a, err := f.reg.Add(tenant.Profile{Industries: []string{f.industry1}})

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -228,5 +230,80 @@ func TestIncrementalMergeAcrossRuns(t *testing.T) {
 	final, _ := LoadFile(path)
 	if final.Len() != 3 {
 		t.Fatalf("final len = %d", final.Len())
+	}
+}
+
+// TestWritesPublishCopies pins the snapshot contract: each write call
+// publishes once, a published lead is never written again (reviews and
+// refreshed scores install copies), and a refreshed score moves the
+// lead to its new rank.
+func TestWritesPublishCopies(t *testing.T) {
+	s := New()
+	if s.Add(nil, t0); s.Snapshot().Revision() != 0 {
+		t.Fatal("an empty Add published")
+	}
+	s.Add(sampleEvents(), t0)
+	before := s.Snapshot()
+	if before.Revision() != 1 {
+		t.Fatalf("revision %d after one Add", before.Revision())
+	}
+	if !s.MarkReviewed("d1#1") || s.Snapshot().Revision() != 2 {
+		t.Fatalf("review published revision %d", s.Snapshot().Revision())
+	}
+	up := sampleEvents()[1] // d1#1, 0.7 → 0.99: now ranks first
+	up.Score = 0.99
+	s.Add([]rank.Event{up}, t0.Add(time.Hour))
+	after := s.Snapshot()
+	if after.Revision() != 3 {
+		t.Fatalf("revision %d after a re-add", after.Revision())
+	}
+	var ids []string
+	before.Walk(Query{}, func(l *Lead) bool {
+		if l.Reviewed {
+			t.Errorf("published lead %s changed after a review", l.SnippetID)
+		}
+		ids = append(ids, l.SnippetID)
+		return true
+	})
+	if strings.Join(ids, " ") != "d1#0 d2#0 d1#1" {
+		t.Fatalf("old snapshot order changed: %v", ids)
+	}
+	got := s.Find(Query{})
+	if got[0].SnippetID != "d1#1" || got[0].Score != 0.99 || !got[0].Reviewed || got[0].FirstSeen != t0.Unix() {
+		t.Fatalf("refreshed lead = %+v", got[0])
+	}
+	if ma := s.Find(Query{Driver: "ma"}); ma[0].SnippetID != "d1#1" {
+		t.Fatalf("driver list not re-ranked: %+v", ma)
+	}
+}
+
+// TestCompanyMRRMatchesRank checks the snapshot's one-pass Equation 2
+// against rank.CompanyMRR over per-driver rank.ByScore lists, the way
+// /companies derived it from a copy of the store, bit for bit.
+func TestCompanyMRRMatchesRank(t *testing.T) {
+	s := New()
+	var evs []rank.Event
+	companies := []string{"Acme Corp", "ACME", "Widget Inc", "widget", "Halcyon Systems", ""}
+	for i := 0; i < 300; i++ {
+		evs = append(evs, rank.Event{
+			SnippetID: fmt.Sprintf("s%03d", (i*37)%300),
+			Driver:    []string{"rg", "cim", "ma"}[i%3],
+			Company:   companies[i%len(companies)],
+			Score:     float64(i%11) / 10,
+		})
+	}
+	s.Add(evs[:150], t0)
+	s.Add(evs[150:], t0)
+	byDriver := map[string][]rank.Event{}
+	for _, l := range s.Find(Query{}) {
+		byDriver[l.Driver] = append(byDriver[l.Driver], l.Event)
+	}
+	var ranked []rank.Ranked
+	for _, d := range []string{"cim", "ma", "rg"} {
+		ranked = append(ranked, rank.ByScore(byDriver[d])...)
+	}
+	want := rank.CompanyMRR(ranked)
+	if got := s.Snapshot().CompanyMRR(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CompanyMRR = %+v, want %+v", got, want)
 	}
 }

@@ -6,12 +6,12 @@
 // (/leads?tenant=), while alert subscriptions carrying a tenant field
 // compose the same ICP filter into fan-out.
 //
-// The package owns three pieces: the Registry (concurrency-safe ICP
-// CRUD with JSONL persistence through the same revision-gated
-// checkpointer discipline as the lead store), the ICP matcher (Profile
-// against knowledge-base records from internal/kb), and a per-tenant,
-// generation-invalidated result cache so repeated tenant queries don't
-// recompute the blend until either the profile or the lead store moves.
+// The package owns two pieces: the Registry (concurrency-safe ICP CRUD
+// with JSONL persistence through the same revision-gated checkpointer
+// discipline as the lead store) and the ICP matcher (Profile against
+// knowledge-base records from internal/kb). Tenant reads are not
+// memoized: the serving layer recomputes each one over the lead
+// store's current snapshot.
 package tenant
 
 import (
@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -130,8 +131,8 @@ type Config struct {
 }
 
 // Registry is the concurrency-safe tenant store: ICP CRUD, per-profile
-// revisions for cache invalidation, and JSONL persistence compatible
-// with the labeled checkpointer (Revision/SaveFile).
+// revisions, and JSONL persistence compatible with the labeled
+// checkpointer (Revision/SaveFile).
 type Registry struct {
 	clock func() time.Time
 
@@ -143,8 +144,7 @@ type Registry struct {
 	rev   uint64            // mutation count, for revision-gated checkpoints
 
 	// revSeq feeds per-profile revisions from one monotonic stream, so
-	// a deleted-then-recreated tenant never reuses a revision a cache
-	// entry might still hold.
+	// a deleted-then-recreated tenant never reuses a revision.
 	revSeq uint64
 
 	profiles  *obs.Gauge
@@ -183,6 +183,10 @@ func (r *Registry) insertLocked(p Profile) {
 	r.profiles.Set(int64(len(r.order)))
 }
 
+// ErrIDsExhausted reports that automatic ID assignment has reached the
+// largest "tenant-N" suffix; profiles can still be added with an ID.
+var ErrIDsExhausted = errors.New("tenant: automatic IDs exhausted; supply an ID")
+
 // Add inserts a profile, assigning an ID when none is supplied, and
 // returns the stored (normalized) value. A duplicate ID is an error.
 func (r *Registry) Add(p Profile) (Profile, error) {
@@ -194,6 +198,11 @@ func (r *Registry) Add(p Profile) (Profile, error) {
 	defer r.mu.Unlock()
 	if p.ID == "" {
 		for {
+			// The counter never wraps: a loaded "tenant-<MaxInt>" would
+			// otherwise make the next ID "tenant--9223372036854775808".
+			if r.next == math.MaxInt {
+				return Profile{}, ErrIDsExhausted
+			}
 			r.next++
 			p.ID = fmt.Sprintf("tenant-%d", r.next)
 			if _, taken := r.byID[p.ID]; !taken {
@@ -212,8 +221,8 @@ func (r *Registry) Add(p Profile) (Profile, error) {
 	return p, nil
 }
 
-// Get returns the profile with the given ID and its revision — the
-// cache-invalidation generation: any update to the profile bumps it.
+// Get returns the profile with the given ID and its revision, which
+// every update to the profile bumps.
 func (r *Registry) Get(id string) (Profile, uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -225,8 +234,8 @@ func (r *Registry) Get(id string) (Profile, uint64, error) {
 }
 
 // Update replaces a profile's ICP in place, preserving its ID and
-// Created stamp, and bumps its revision so cached results for the old
-// ICP can never be served again.
+// Created stamp, and bumps its revision. Reads after it returns see
+// only the new ICP.
 func (r *Registry) Update(id string, p Profile) (Profile, error) {
 	if err := p.Validate(); err != nil {
 		return Profile{}, err
@@ -316,10 +325,12 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 	return r.writeJSONLLocked(w)
 }
 
-// ReadRegistry loads a registry from a JSONL stream. Duplicate IDs
-// keep the first occurrence; auto-assignment resumes past the highest
-// "tenant-N" seen. Profiles are re-normalized on load so checkpoints
-// from older builds match like freshly created ones.
+// ReadRegistry loads a registry from a JSONL stream. It accepts only
+// profiles Add would accept: an invalid one is an error naming its
+// line. Duplicate IDs keep the first occurrence; auto-assignment
+// resumes past the highest "tenant-N" seen. Profiles are re-normalized
+// on load so checkpoints from older builds match like freshly created
+// ones.
 func ReadRegistry(rd io.Reader, cfg Config) (*Registry, error) {
 	r := NewRegistry(cfg)
 	sc := bufio.NewScanner(rd)
@@ -336,6 +347,9 @@ func ReadRegistry(rd io.Reader, cfg Config) (*Registry, error) {
 		}
 		if p.ID == "" {
 			return nil, fmt.Errorf("tenant: line %d: profile without ID", line)
+		}
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("tenant: line %d: %w", line, err)
 		}
 		if _, dup := r.byID[p.ID]; dup {
 			continue

@@ -2,7 +2,11 @@ package tenant
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,46 +214,35 @@ func TestScore(t *testing.T) {
 	}
 }
 
-func TestCacheGenerations(t *testing.T) {
-	c := NewCache(0, obs.NewRegistry())
-	c.Put("tenant-1", "top=50", 1, 10, "v1")
-	if v, ok := c.Get("tenant-1", "top=50", 1, 10); !ok || v != "v1" {
-		t.Fatalf("fresh entry missed: %v, %v", v, ok)
+// TestReadRegistryRejectsInvalidProfile pins the loader to what Add
+// accepts: a checkpoint line Validate rejects fails the load, and the
+// error names the line.
+func TestReadRegistryRejectsInvalidProfile(t *testing.T) {
+	in := `{"id":"tenant-1","industries":["retail"]}
+{"id":"t1","minScore":5,"quota":-1,"sizeBuckets":["gigantic"]}
+`
+	_, err := ReadRegistry(strings.NewReader(in), Config{Clock: fixedClock, Registry: obs.NewRegistry()})
+	if err == nil {
+		t.Fatal("loaded a profile Add rejects")
 	}
-	// Profile revision moved: stale, dropped.
-	if _, ok := c.Get("tenant-1", "top=50", 2, 10); ok {
-		t.Fatal("stale profile generation served")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry not dropped: %d", c.Len())
-	}
-	// Store revision moved: stale too.
-	c.Put("tenant-1", "top=50", 2, 10, "v2")
-	if _, ok := c.Get("tenant-1", "top=50", 2, 11); ok {
-		t.Fatal("stale store generation served")
-	}
-	// Same query for another tenant is a distinct key.
-	c.Put("tenant-1", "top=50", 2, 11, "v3")
-	if _, ok := c.Get("tenant-2", "top=50", 2, 11); ok {
-		t.Fatal("tenant keys collided")
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("error does not name the line: %v", err)
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	c := NewCache(2, obs.NewRegistry())
-	c.Put("t1", "q", 1, 1, "a")
-	c.Put("t2", "q", 1, 1, "b")
-	c.Put("t3", "q", 1, 1, "c") // evicts the oldest (t1)
-	if _, ok := c.Get("t1", "q", 1, 1); ok {
-		t.Fatal("oldest entry survived eviction")
+// TestReadRegistryIDCounterNeverWraps loads the largest "tenant-N" ID:
+// automatic assignment must then refuse rather than wrap to a negative
+// suffix, while an explicit ID still works.
+func TestReadRegistryIDCounterNeverWraps(t *testing.T) {
+	in := fmt.Sprintf(`{"id":"tenant-%d"}`+"\n", math.MaxInt)
+	r, err := ReadRegistry(strings.NewReader(in), Config{Clock: fixedClock, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Get("t2", "q", 1, 1); !ok {
-		t.Fatal("newer entry evicted")
+	if p, err := r.Add(Profile{}); !errors.Is(err, ErrIDsExhausted) {
+		t.Fatalf("Add after tenant-MaxInt = %q, %v; want ErrIDsExhausted", p.ID, err)
 	}
-	if _, ok := c.Get("t3", "q", 1, 1); !ok {
-		t.Fatal("newest entry evicted")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("cache size %d, want 2", c.Len())
+	if _, err := r.Add(Profile{ID: "acme"}); err != nil {
+		t.Fatalf("explicit ID refused: %v", err)
 	}
 }
