@@ -1,7 +1,8 @@
 # CI entry points. `make ci` is vet + build + lint + race-enabled
 # tests. The GitHub Actions workflow runs the same checks as separate
 # steps (go vet, go build, `make lint`, `make lint-bench`, go test
-# -race, then the lock-free lead-read stress `make race-reads`), then
+# -race, then the lock-free lead-read stress `make race-reads` and the
+# index's concurrent-read stress `make race-index`), then
 # `make doccheck`, `make examples`, `make fmt-check`, the benchmark
 # module's vet and tests (`make bench-check`), one run of every
 # benchmark (`make bench`) and a time-boxed pass of every fuzz target
@@ -9,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race race-reads bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race race-reads race-index bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -55,6 +56,13 @@ race:
 # endpoint run 20 times under the race detector (about 15 s on 2 vCPUs).
 race-reads:
 	$(GO) test -race -count=20 -run 'TestSnapshotsUnderConcurrentWrites|TestLeadReadsConcurrentWithWrites' ./internal/store ./internal/serve
+
+# Segment-index reads decode postings into pooled scratch while
+# writers append to memtables and flushes and merges swap parts, so the
+# tests that interleave them run 10 times under the race detector
+# (about 40 s on 2 vCPUs).
+race-index:
+	$(GO) test -race -count=10 -run 'TestSegmentConcurrentIngestSearchMerge|TestScratchConcurrentReaders|TestMemtableConcurrentReaders' ./internal/index
 
 # One pass over every benchmark (quality numbers + observability
 # overhead). CI runs it so the benchmarks that size performance claims

@@ -54,7 +54,7 @@ func FuzzDecodePostings(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		pl, _, err := decodePostings(data, nil, nil, nil)
+		pl, _, err := decodeList(data, nil, nil, nil)
 		runtime.ReadMemStats(&after)
 		// A posting costs 32 bytes for at least 2 input bytes and a
 		// position 4 bytes for at least 1, with growth and size-class
@@ -71,7 +71,7 @@ func FuzzDecodePostings(f *testing.F) {
 				within = append(within, Posting{Doc: p.Doc}, Posting{Doc: p.Doc + 1})
 			}
 		}
-		sub, _, subErr := decodePostings(data, within, nil, nil)
+		sub, _, subErr := decodeList(data, within, nil, nil)
 		if (err == nil) != (subErr == nil) {
 			t.Fatalf("decode(%x): error %v, restricted to %v: error %v", data, err, within, subErr)
 		}
@@ -196,15 +196,8 @@ func overclaimingSegments(t testing.TB) (valid []byte, bad map[string][]byte) {
 	var out bytes.Buffer
 	w := bufio.NewWriter(&out)
 	m := sealedMemSegment([]corpusDoc{{"a", "acme acquired beta"}, {"b", "beta named a new ceo"}})
-	terms := make([]string, 0, len(m.dict))
-	for term := range m.dict {
-		terms = append(terms, term)
-	}
-	slices.Sort(terms)
-	if _, err := encodeSegmentFrame(w, m.ids, m.docLens, m.totalLen, terms,
-		func(term string, scratch []byte) ([]byte, int, error) {
-			return appendPostings(scratch, m.dict[term].pl), len(m.dict[term].pl), nil
-		}); err != nil {
+	terms := m.sortedTerms()
+	if _, err := encodeSegmentFrame(w, m.ids, m.docLens, m.totalLen, terms, m.emit); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -30,6 +30,7 @@ package index
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"etap/internal/obs"
@@ -164,10 +165,15 @@ func (ix *Index) shardFor(docID string) *shard {
 	return ix.shards[route(docID)%uint64(len(ix.shards))]
 }
 
+// tokenPool holds the token buffers terms tokenizes into.
+var tokenPool = sync.Pool{New: func() any { return new([]textproc.Token) }}
+
 // terms normalizes text into index terms: lower-cased stemmed word
-// tokens plus number tokens (so queries like "Q4 2004" work).
+// tokens plus number tokens (so queries like "Q4 2004" work). The
+// tokens go into a pooled buffer, so only the terms are allocated.
 func terms(text string) []string {
-	toks := textproc.Tokenize(text)
+	buf := tokenPool.Get().(*[]textproc.Token)
+	toks := textproc.AppendTokens((*buf)[:0], text)
 	out := make([]string, 0, len(toks))
 	for _, t := range toks {
 		switch t.Kind {
@@ -177,6 +183,10 @@ func terms(text string) []string {
 			out = append(out, t.Text)
 		}
 	}
+	// Tokens alias text: a pooled buffer must not pin the document.
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -579,13 +580,11 @@ func (si *SegmentIndex) flushOne(m *memSegment) {
 	si.manifestMu.Unlock()
 
 	// Swap the batch's searchable home: segment in, sealed memtable
-	// out, atomically under the view lock.
+	// out, atomically under the view lock. slices.Delete zeroes the
+	// vacated slot, so the backing array does not pin the flushed batch.
 	si.mu.Lock()
-	for i, sm := range si.sealing {
-		if sm == m {
-			si.sealing = append(si.sealing[:i], si.sealing[i+1:]...)
-			break
-		}
+	if i := slices.Index(si.sealing, m); i >= 0 {
+		si.sealing = slices.Delete(si.sealing, i, i+1)
 	}
 	si.segs = append(si.segs, seg)
 	si.mu.Unlock()

@@ -16,34 +16,34 @@ import (
 // a memtable and a segment all resolve queries through the exact same
 // arithmetic, differing only in where the postings bytes come from.
 
-// appendPostings delta-encodes one term's postings list onto buf:
+// appendPosting delta-encodes one posting onto buf. A postings list is
+// a uvarint count followed by its postings in ascending Doc order:
 //
 //	uvarint(docCount)
-//	per posting, in ascending Doc order:
+//	per posting:
 //	  uvarint(doc - prevDoc)     // prevDoc starts at 0
 //	  uvarint(len(positions))
 //	  per position, ascending:
 //	    uvarint(pos - prevPos)   // prevPos starts at 0 per posting
 //
 // Document IDs are part-local and strictly increasing, so deltas after
-// the first are always positive; the first delta is the raw ID.
-func appendPostings(buf []byte, pl []Posting) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(pl)))
-	prevDoc := int32(0)
-	for _, p := range pl {
-		buf = binary.AppendUvarint(buf, uint64(p.Doc-prevDoc))
-		prevDoc = p.Doc
-		buf = binary.AppendUvarint(buf, uint64(len(p.Positions)))
-		prevPos := int32(0)
-		for _, pos := range p.Positions {
-			buf = binary.AppendUvarint(buf, uint64(pos-prevPos))
-			prevPos = pos
-		}
+// the first are always positive; the first delta is the raw ID. A
+// memtable appends each posting as its document arrives and keeps the
+// count beside the bytes; whoever writes the list into a segment file
+// puts the count in front (memSegment.emit, writeMergedSegment).
+func appendPosting(buf []byte, docDelta int32, positions []int32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(docDelta))
+	buf = binary.AppendUvarint(buf, uint64(len(positions)))
+	prevPos := int32(0)
+	for _, pos := range positions {
+		buf = binary.AppendUvarint(buf, uint64(pos-prevPos))
+		prevPos = pos
 	}
 	return buf
 }
 
-// decodePostings reverses appendPostings, appending the decoded
+// decodePostings decodes the n postings data holds (a list without its
+// leading count; see appendPosting), appending the decoded
 // postings to pl and every posting's positions, back to back, to pos;
 // each decoded Posting's Positions aliases its stretch of the returned
 // pos. Callers that pass the same pl and pos back in query after query
@@ -55,20 +55,21 @@ func appendPostings(buf []byte, pl []Posting) []byte {
 // stored, so a conjunctive query's scratch grows with the intersection
 // rather than with every list it scans.
 //
+// The count comes apart from the bytes so that a memtable's list, which
+// keeps its count beside them, decodes where it lies.
+//
 // It returns an error (never panics) on truncated or corrupt input so a
 // damaged segment surfaces as a recoverable condition, not a crash; the
 // caller then keeps its own pl and pos. No count is trusted before it
 // is checked against the bytes left: a posting takes at least 2 bytes
 // and a position at least 1, so what decoding allocates is bounded by
 // len(data) whatever the counts claim.
-func decodePostings(data []byte, within, pl []Posting, pos []int32) ([]Posting, []int32, error) {
-	n, off, err := readUvarint(data, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("postings count: %w", err)
+func decodePostings(data []byte, n uint64, within, pl []Posting, pos []int32) ([]Posting, []int32, error) {
+	if n > uint64(len(data))/2 {
+		return nil, nil, fmt.Errorf("postings count %d exceeds the %d bytes left", n, len(data))
 	}
-	if n > uint64(len(data)-off)/2 {
-		return nil, nil, fmt.Errorf("postings count %d exceeds the %d bytes left", n, len(data)-off)
-	}
+	var off int
+	var err error
 	if within == nil {
 		pl = slices.Grow(pl, int(n))
 	} else {
@@ -220,12 +221,80 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // putScratch empties sc and returns it to the pool; nothing read from
 // sc may be used afterwards.
 func putScratch(sc *scratch) {
-	// An in-memory part's lists and positions are its live postings:
-	// a pooled scratch must not pin them.
+	// A shard's lists are its live postings: a pooled scratch must not
+	// pin them.
 	clear(sc.lists)
 	clear(sc.phrase)
 	sc.pl, sc.pos, sc.lists, sc.hits = sc.pl[:0], sc.pos[:0], sc.lists[:0], sc.hits[:0]
 	scratchPool.Put(sc)
+}
+
+// decode appends the n postings encoded in data (see decodePostings) to
+// sc and returns them, keeping only the documents within holds when
+// within is not nil. The list aliases sc, so it is valid until sc goes
+// back to the pool. On an error sc is left as it was.
+func (sc *scratch) decode(data []byte, n uint64, within []Posting) ([]Posting, error) {
+	start := len(sc.pl)
+	pl, pos, err := decodePostings(data, n, within, sc.pl, sc.pos)
+	if err != nil {
+		return nil, err
+	}
+	sc.pl, sc.pos = pl, pos
+	return pl[start:len(pl):len(pl)], nil
+}
+
+// encodedPart is a part that holds its postings encoded — a memtable in
+// memory, a segment in its file — and decodes one term's list at a
+// time into scratch. The caller holds whatever lock the part needs
+// across every call of one read.
+type encodedPart interface {
+	// df returns the term's document frequency in the part.
+	df(t string) int
+	// postings decodes the term's list into sc, restricted to the
+	// documents within holds when within is not nil; nil when the term
+	// is absent or its list cannot be read.
+	postings(t string, within []Posting, sc *scratch) []Posting
+}
+
+// searchEncoded is searchPart for an encodedPart: the terms are decoded
+// into sc rarest first, each keeping only the documents every term
+// before it holds, then matchAndScore runs over those lists exactly as
+// it does over a shard's — conjunctive matching cannot tell a list from
+// its intersection with the others. A term that leaves no document ends
+// the search before the remaining terms are read.
+func searchEncoded(p encodedPart, q *partQuery, docLens []float64, ids []string, sc *scratch) {
+	sc.lists = append(sc.lists[:0], make([][]Posting, len(q.distinct))...)
+	var within []Posting
+	for range q.distinct {
+		next := -1
+		for i, t := range q.distinct {
+			if sc.lists[i] == nil && (next < 0 || p.df(t) < p.df(q.distinct[next])) {
+				next = i
+			}
+		}
+		pl := p.postings(q.distinct[next], within, sc)
+		if len(pl) == 0 {
+			return
+		}
+		sc.lists[next], within = pl, pl
+	}
+	matchAndScore(q, sc.lists, docLens, ids, sc)
+}
+
+// coFreqEncoded is coFreq for an encodedPart: the rarer term is decoded
+// whole and the other only where it shares a document with it.
+func coFreqEncoded(p encodedPart, ta, tb string, window int32, sc *scratch) int {
+	if p.df(tb) < p.df(ta) {
+		ta, tb = tb, ta
+	}
+	if p.df(ta) == 0 {
+		return 0
+	}
+	pa := p.postings(ta, nil, sc)
+	if len(pa) == 0 {
+		return 0
+	}
+	return countCo(pa, p.postings(tb, pa, sc), window)
 }
 
 // matchAndScore resolves a query against one part's postings and

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -21,7 +20,7 @@ import (
 //
 //	[header]    magic "ETSG", version byte
 //	[doc table] docCount, then (docID, tokenLen) per document
-//	[postings]  per-term delta/varint postings lists (appendPostings),
+//	[postings]  per-term delta/varint postings lists (appendPosting),
 //	            concatenated in sorted term order
 //	[dict]      termCount, then (term, offset, byteLen, df) per term,
 //	            sorted; offsets are relative to the postings section
@@ -95,26 +94,14 @@ type writtenSegment struct {
 
 // writeSegmentFile encodes a sealed memSegment to path (which must be
 // a temporary name — the caller renames it into place after fsync).
-// The memtable is read under its read lock; sealed memtables are never
-// written again but remain searchable while this runs.
+// The memtable already holds every list in the file's encoding, so
+// each one is written as it is, behind its count. The memtable is read
+// under its read lock; sealed memtables are never written again but
+// remain searchable while this runs.
 func writeSegmentFile(path string, m *memSegment) (writtenSegment, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-
-	// Sorted term order is also what keeps the file layout
-	// deterministic — the same sealed batch always encodes to the same
-	// bytes, regardless of dictionary map iteration order.
-	terms := make([]string, 0, len(m.dict))
-	for t := range m.dict {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
-	return writeSegmentFrame(path, m.ids, m.docLens, m.totalLen, terms,
-		func(t string, scratch []byte) ([]byte, int, error) {
-			pl := m.dict[t].pl
-			return appendPostings(scratch, pl), len(pl), nil
-		})
+	return writeSegmentFrame(path, m.ids, m.docLens, m.totalLen, m.sortedTerms(), m.emit)
 }
 
 // writeSegmentFrame writes the format-v1 frame around caller-supplied
@@ -527,12 +514,10 @@ func crcRange(r io.ReaderAt, off, n int64) (uint32, error) {
 	return crc, nil
 }
 
-// postings reads one term's postings list into sc and returns it
-// decoded, restricted to the documents within holds when within is not
-// nil (see decodePostings); the list aliases sc, so it is valid until
-// sc goes back to the pool. Absent terms and (never expected after a
-// verified open) read or decode failures return nil, counting the
-// latter so operators can see a faulting segment.
+// postings implements encodedPart: it reads the term's list through
+// rawPostings into sc and decodes it there. Absent terms and (never
+// expected after a verified open) read or decode failures return nil,
+// counting the latter so operators can see a faulting segment.
 func (s *segment) postings(t string, within []Posting, sc *scratch) []Posting {
 	e, ok := s.dict[t]
 	if !ok {
@@ -544,14 +529,16 @@ func (s *segment) postings(t string, within []Posting, sc *scratch) []Posting {
 		return nil
 	}
 	sc.buf = buf
-	start := len(sc.pl)
-	pl, pos, err := decodePostings(buf, within, sc.pl, sc.pos)
+	n, off, err := readUvarint(buf, 0)
+	var pl []Posting
+	if err == nil {
+		pl, err = sc.decode(buf[off:], n, within)
+	}
 	if err != nil {
 		mSegReadFailures.Inc()
 		return nil
 	}
-	sc.pl, sc.pos = pl, pos
-	return pl[start:len(pl):len(pl)]
+	return pl
 }
 
 // rawPostings reads one term's encoded postings bytes without decoding
@@ -579,48 +566,21 @@ func (s *segment) snapshotStats(distinct []string) partStats {
 	return st
 }
 
-// searchPart implements part: the terms are decoded into sc rarest
-// first, each keeping only the documents every term before it holds,
-// then the shared matchAndScore runs over those lists exactly as it
-// does for the in-RAM parts — conjunctive matching cannot tell a list
-// from its intersection with the others. A term that leaves no
-// document ends the search before the remaining terms are read.
+// searchPart implements part through searchEncoded; a segment is
+// immutable, so it needs no lock.
 func (s *segment) searchPart(q *partQuery, sc *scratch) {
-	sc.lists = append(sc.lists[:0], make([][]Posting, len(q.distinct))...)
-	var within []Posting
-	for range q.distinct {
-		next := -1
-		for i, t := range q.distinct {
-			if sc.lists[i] == nil && (next < 0 || s.dict[t].df < s.dict[q.distinct[next]].df) {
-				next = i
-			}
-		}
-		pl := s.postings(q.distinct[next], within, sc)
-		if len(pl) == 0 {
-			return
-		}
-		sc.lists[next], within = pl, pl
-	}
-	matchAndScore(q, sc.lists, s.docLens, s.ids, sc)
+	searchEncoded(s, q, s.docLens, s.ids, sc)
 }
 
-// docFreq implements part.
-func (s *segment) docFreq(t string) int { return s.dict[t].df }
+// df implements encodedPart from the in-memory dictionary.
+func (s *segment) df(t string) int { return s.dict[t].df }
 
-// coFreq implements part: the rarer term is decoded whole and the other
-// only where it shares a document with it.
+// docFreq implements part.
+func (s *segment) docFreq(t string) int { return s.df(t) }
+
+// coFreq implements part through coFreqEncoded.
 func (s *segment) coFreq(ta, tb string, window int32, sc *scratch) int {
-	if s.dict[tb].df < s.dict[ta].df {
-		ta, tb = tb, ta
-	}
-	if s.dict[ta].df == 0 {
-		return 0
-	}
-	pa := s.postings(ta, nil, sc)
-	if len(pa) == 0 {
-		return 0
-	}
-	return countCo(pa, s.postings(tb, pa, sc), window)
+	return coFreqEncoded(s, ta, tb, window, sc)
 }
 
 // size implements part.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -9,6 +10,28 @@ import (
 	"slices"
 	"testing"
 )
+
+// appendPostings encodes a whole postings list as a segment file holds
+// it: the count, then every posting through appendPosting.
+func appendPostings(buf []byte, pl []Posting) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(pl)))
+	prev := int32(0)
+	for _, p := range pl {
+		buf = appendPosting(buf, p.Doc-prev, p.Positions)
+		prev = p.Doc
+	}
+	return buf
+}
+
+// decodeList decodes a whole postings list as a segment file holds it,
+// count first, through decodePostings.
+func decodeList(data []byte, within, pl []Posting, pos []int32) ([]Posting, []int32, error) {
+	n, off, err := readUvarint(data, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decodePostings(data[off:], n, within, pl, pos)
+}
 
 // randomPostings builds a random but valid postings list: ascending doc
 // IDs, each with a non-empty ascending position list.
@@ -41,11 +64,11 @@ func TestPostingsRoundTrip(t *testing.T) {
 		wantA := randomPostings(rng, rng.Intn(40))
 		b := randomPostings(rng, rng.Intn(40))
 		var err error
-		if pl, pos, err = decodePostings(appendPostings(nil, wantA), nil, pl[:0], pos[:0]); err != nil {
+		if pl, pos, err = decodeList(appendPostings(nil, wantA), nil, pl[:0], pos[:0]); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		gotA := pl
-		if pl, pos, err = decodePostings(appendPostings(nil, b), gotA, pl, pos); err != nil {
+		if pl, pos, err = decodeList(appendPostings(nil, b), gotA, pl, pos); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		gotB := pl[len(gotA):]
@@ -73,13 +96,13 @@ func TestPostingsDecodeRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	full := appendPostings(nil, randomPostings(rng, 20))
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := decodePostings(full[:cut], nil, nil, nil); err == nil && cut != 0 {
+		if _, _, err := decodeList(full[:cut], nil, nil, nil); err == nil && cut != 0 {
 			// cut==0 is legitimately an empty encoding only if the list
 			// was empty; a 20-posting list must fail at every prefix.
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(full))
 		}
 	}
-	if _, _, err := decodePostings(append(append([]byte(nil), full...), 0x00), nil, nil, nil); err == nil {
+	if _, _, err := decodeList(append(append([]byte(nil), full...), 0x00), nil, nil, nil); err == nil {
 		t.Fatal("decode accepted trailing bytes")
 	}
 }
@@ -118,9 +141,8 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 	}
 	// Every term's postings must survive the disk round trip exactly.
 	sc := new(scratch)
-	for term, tp := range m.dict {
-		got := s.postings(term, nil, sc)
-		if !reflect.DeepEqual(got, tp.pl) {
+	for _, term := range m.sortedTerms() {
+		if got, want := s.postings(term, nil, sc), m.postings(term, nil, sc); !reflect.DeepEqual(got, want) {
 			t.Fatalf("term %q postings mismatch", term)
 		}
 	}

@@ -1,18 +1,26 @@
 package index
 
-import "sync"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // memSegment is an active in-memory segment: the mutable batch one
-// writer accumulates before it is sealed and flushed to disk. Its
-// shape mirrors the on-disk format — one postings list per term, in
-// part-local doc order — so sealing is a sort of the term dictionary
-// plus a straight encode, with no per-document restructuring.
+// writer accumulates before it is sealed and flushed to disk. It holds
+// each term's postings list already in the segment encoding (STORAGE.md
+// §3.3), less the leading count, which it keeps beside the bytes as the
+// term's df. Sealing is a sort of the term dictionary plus a straight
+// copy of each list behind its count, and a query decodes a memtable's
+// lists into pooled scratch through the same rarest-first routine as a
+// segment's (searchEncoded, coFreqEncoded).
 //
-// Unlike shard.add, add appends tokens directly into the per-term
-// lists with no per-document scratch map: one dictionary lookup per
-// token, positions appended in place. That makes the segment engine's
-// ingest path cheaper than the in-RAM engine's even before flushing
-// frees the batch from the garbage collector's working set.
+// The lists are pointer-free bytes: a posting costs its few varint
+// bytes rather than a Posting header plus a positions array, and the
+// garbage collector never scans them, so a memtable that stays
+// unsealed for a whole run weighs on the heap goal about its encoded
+// size.
 //
 // All methods synchronize through the RWMutex; a sealed memSegment is
 // never written again but stays searchable until its flushed segment
@@ -24,12 +32,22 @@ type memSegment struct {
 	totalLen float64
 	dict     map[string]*memPostings
 	posts    int // total (term, doc) postings, for Stats
+
+	// add's scratch for grouping one document's positions by term,
+	// reused across documents and touched only under the write lock:
+	// groups lists the document's distinct terms in order of first
+	// occurrence, and gpos[g] holds groups[g]'s positions.
+	groups []*memPostings
+	gpos   [][]int32
 }
 
 // memPostings is one term's growing postings list. The pointer
 // indirection keeps the dictionary's values stable while lists grow.
 type memPostings struct {
-	pl []Posting
+	enc     []byte // the list in appendPosting's encoding, without its count
+	df      int    // postings in enc
+	lastDoc int32  // the last posting's document: the next doc delta's base
+	grp     int32  // the term's index in groups while add runs, else -1
 }
 
 func newMemSegment() *memSegment {
@@ -37,7 +55,11 @@ func newMemSegment() *memSegment {
 }
 
 // add appends one tokenized document. Documents get ascending
-// part-local IDs; the caller (writer) guarantees docID uniqueness.
+// part-local IDs; the caller (writer) guarantees docID uniqueness. The
+// document's positions are grouped by term first, one dictionary lookup
+// per token, because a posting's position count precedes its positions
+// in the encoding; then each term's list gets the doc delta, the count
+// and the position deltas.
 func (m *memSegment) add(docID string, ts []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -45,19 +67,30 @@ func (m *memSegment) add(docID string, ts []string) {
 	m.ids = append(m.ids, docID)
 	m.docLens = append(m.docLens, float64(len(ts)))
 	m.totalLen += float64(len(ts))
+	groups := m.groups[:0]
 	for pos, t := range ts {
 		tp := m.dict[t]
 		if tp == nil {
-			tp = &memPostings{}
+			tp = &memPostings{grp: -1}
 			m.dict[t] = tp
 		}
-		if n := len(tp.pl); n == 0 || tp.pl[n-1].Doc != doc {
-			tp.pl = append(tp.pl, Posting{Doc: doc})
-			m.posts++
+		if tp.grp < 0 {
+			tp.grp = int32(len(groups))
+			groups = append(groups, tp)
+			if len(m.gpos) < len(groups) {
+				m.gpos = append(m.gpos, nil)
+			}
+			m.gpos[tp.grp] = m.gpos[tp.grp][:0]
 		}
-		last := &tp.pl[len(tp.pl)-1]
-		last.Positions = append(last.Positions, int32(pos))
+		m.gpos[tp.grp] = append(m.gpos[tp.grp], int32(pos))
 	}
+	for g, tp := range groups {
+		tp.enc = appendPosting(tp.enc, doc-tp.lastDoc, m.gpos[g])
+		tp.df++
+		tp.lastDoc, tp.grp = doc, -1
+	}
+	m.posts += len(groups)
+	m.groups = groups
 }
 
 // docCount returns the number of documents in the memtable.
@@ -73,48 +106,76 @@ func (m *memSegment) snapshotStats(distinct []string) partStats {
 	defer m.mu.RUnlock()
 	st := partStats{docs: len(m.ids), totalLen: m.totalLen, df: make([]int, len(distinct))}
 	for i, t := range distinct {
-		if tp := m.dict[t]; tp != nil {
-			st.df[i] = len(tp.pl)
-		}
+		st.df[i] = m.df(t)
 	}
 	return st
 }
 
-// searchPart implements part through the shared matchAndScore
-// algorithm, under the read lock.
+// searchPart implements part through searchEncoded, under the read
+// lock.
 func (m *memSegment) searchPart(q *partQuery, sc *scratch) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, t := range q.distinct {
-		sc.lists = append(sc.lists, m.listOf(t))
-	}
-	matchAndScore(q, sc.lists, m.docLens, m.ids, sc)
+	searchEncoded(m, q, m.docLens, m.ids, sc)
 }
 
 // docFreq implements part.
 func (m *memSegment) docFreq(t string) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.df(t)
+}
+
+// coFreq implements part through coFreqEncoded, under the read lock.
+func (m *memSegment) coFreq(ta, tb string, window int32, sc *scratch) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return coFreqEncoded(m, ta, tb, window, sc)
+}
+
+// df implements encodedPart; callers hold at least the read lock.
+func (m *memSegment) df(t string) int {
 	if tp := m.dict[t]; tp != nil {
-		return len(tp.pl)
+		return tp.df
 	}
 	return 0
 }
 
-// coFreq implements part; it needs no scratch.
-func (m *memSegment) coFreq(ta, tb string, window int32, _ *scratch) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return countCo(m.listOf(ta), m.listOf(tb), window)
+// postings implements encodedPart: the list decodes where it lies, so
+// callers hold at least the read lock. add wrote every list, so a
+// decode failure is a codec bug, not bad input.
+func (m *memSegment) postings(t string, within []Posting, sc *scratch) []Posting {
+	tp := m.dict[t]
+	if tp == nil {
+		return nil
+	}
+	pl, err := sc.decode(tp.enc, uint64(tp.df), within)
+	if err != nil {
+		panic(fmt.Sprintf("index: memtable list of %q does not decode: %v", t, err))
+	}
+	return pl
 }
 
-// listOf returns a term's postings list; callers hold at least the
-// read lock.
-func (m *memSegment) listOf(t string) []Posting {
-	if tp := m.dict[t]; tp != nil {
-		return tp.pl
+// sortedTerms returns the memtable's terms in sorted order, the order a
+// segment file lists them in; callers hold at least the read lock. The
+// sort is also what keeps the file layout deterministic — the same
+// sealed batch always encodes to the same bytes, whatever the
+// dictionary map's iteration order.
+func (m *memSegment) sortedTerms() []string {
+	terms := make([]string, 0, len(m.dict))
+	for t := range m.dict {
+		terms = append(terms, t)
 	}
-	return nil
+	slices.Sort(terms)
+	return terms
+}
+
+// emit appends term t's list as a segment file holds it — its count,
+// then the bytes add wrote — onto buf, for writeSegmentFrame; callers
+// hold at least the read lock.
+func (m *memSegment) emit(t string, buf []byte) ([]byte, int, error) {
+	tp := m.dict[t]
+	return append(binary.AppendUvarint(buf, uint64(tp.df)), tp.enc...), tp.df, nil
 }
 
 // size implements part.

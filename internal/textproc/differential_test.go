@@ -29,8 +29,15 @@ func FuzzTokenizeMatchesReference(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		if got, want := Tokenize(s), refTokenize(s); !reflect.DeepEqual(got, want) {
+		want := refTokenize(s)
+		if got := Tokenize(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Tokenize(%q)\n got  %+v\n want %+v", s, got, want)
+		}
+		// Appending to a reused buffer keeps what it held and adds
+		// exactly Tokenize's tokens.
+		prefix := []Token{{Text: "p", Kind: KindWord, Start: 0, End: 1}}
+		if got := AppendTokens(prefix, s); !reflect.DeepEqual(got, append(prefix[:1:1], want...)) {
+			t.Fatalf("AppendTokens(%+v, %q)\n got  %+v\n want %+v", prefix, s, got, want)
 		}
 	})
 }

@@ -51,7 +51,13 @@ func (t Token) Lower() string { return strings.ToLower(t.Text) }
 // and decimal points ("1,200.50" is one token). All offsets are byte
 // offsets into the input.
 func Tokenize(text string) []Token {
-	tokens := make([]Token, 0, len(text)/5)
+	return AppendTokens(make([]Token, 0, len(text)/5), text)
+}
+
+// AppendTokens appends text's tokens, exactly as Tokenize returns them,
+// to tokens and returns the extended slice, so a caller that reuses one
+// buffer tokenizes without allocating. The tokens alias text.
+func AppendTokens(tokens []Token, text string) []Token {
 	n := len(text)
 	i := 0
 	for i < n {
