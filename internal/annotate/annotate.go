@@ -5,8 +5,6 @@
 package annotate
 
 import (
-	"strings"
-
 	"etap/internal/ner"
 	"etap/internal/pos"
 	"etap/internal/textproc"
@@ -27,8 +25,9 @@ type Unit struct {
 // IsEntity reports whether the unit is a named entity.
 func (u Unit) IsEntity() bool { return u.Entity != "" }
 
-// Lower returns the lower-cased surface text.
-func (u Unit) Lower() string { return strings.ToLower(u.Text) }
+// Lower returns the lower-cased surface text, through textproc's word
+// table.
+func (u Unit) Lower() string { return textproc.Lower(u.Text) }
 
 // Annotator runs NER first and fills the gaps with POS tags.
 type Annotator struct {
@@ -48,10 +47,13 @@ func New(rec *ner.Recognizer) *Annotator {
 // span into a single unit, and tags the remaining word tokens with their
 // coarse part-of-speech category. Punctuation and stray symbols are
 // dropped: they carry no signal for trigger-event classification. Each
-// token is lower-cased once, for the recognizer and the tagger alike.
+// token is lower-cased once, for the recognizer and the tagger alike,
+// into pooled scratch that no returned unit references.
 func (a *Annotator) Annotate(text string) []Unit {
-	tokens := textproc.Tokenize(text)
-	lowered := textproc.Lowered(tokens)
+	sc := textproc.GetScratch()
+	defer sc.Release()
+	tokens := sc.Tokenize(text)
+	lowered := sc.Lowered()
 	entities := a.rec.RecognizeLowered(tokens, lowered)
 	tags := pos.Tags(tokens, lowered)
 

@@ -68,7 +68,7 @@ func (c Category) Instance(u annotate.Unit) (string, bool) {
 	if c.Entity != "" {
 		return u.Lower(), true
 	}
-	return textproc.Stem(u.Lower()), true
+	return textproc.Stem(u.Text), true
 }
 
 // AllCategories returns the default category inventory analysed in the

@@ -83,11 +83,9 @@ func Extract(units []annotate.Unit, p Policy) []string {
 		case RepPA:
 			addPA("POS=", string(u.POS))
 		case RepIV:
-			w := u.Lower()
-			if textproc.IsStopword(w) {
-				continue
+			if lx := textproc.Normalize(u.Text); !lx.Stop {
+				out = append(out, "w="+lx.Stem)
 			}
-			out = append(out, "w="+textproc.Stem(w))
 		}
 	}
 	return out

@@ -14,9 +14,11 @@ import (
 // identically against either implementation; ranked results are
 // bit-identical between the two (golden-tested).
 type Engine interface {
-	// Add indexes a document; it is safe for concurrent use. Adding
-	// the same docID twice panics — use Has for idempotent callers.
-	Add(docID, text string)
+	// Add indexes a document made of parts (a page's title and text),
+	// read as one text with a space between parts; it is safe for
+	// concurrent use. Adding the same docID twice panics — use Has for
+	// idempotent callers.
+	Add(docID string, parts ...string)
 	// Has reports whether docID is already indexed.
 	Has(docID string) bool
 	// Search ranks documents matching the query string and returns the

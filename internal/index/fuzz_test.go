@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"etap/internal/textproc"
 )
 
 // FuzzParseQuery asserts that query parsing is total and loses no term:
@@ -37,6 +39,27 @@ func FuzzParseQuery(f *testing.F) {
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
 			t.Fatalf("ParseQuery(%q) = %+v: terms %q, want %q", q, parsed, got, want)
+		}
+	})
+}
+
+// FuzzTermsAcrossParts asserts that indexing a document's title and
+// text as two parts yields exactly the terms of the two joined by a
+// space, as web.Web indexed pages before it handed the engine both
+// parts: positions continue across parts, and no token joins across
+// the boundary. Seeds live in testdata/fuzz/FuzzTermsAcrossParts.
+func FuzzTermsAcrossParts(f *testing.F) {
+	f.Fuzz(func(t *testing.T, title, text string) {
+		want := terms(title + " " + text)
+		if got := terms(title, text); !slices.Equal(got, want) {
+			t.Fatalf("terms(%q, %q) = %q, want %q", title, text, got, want)
+		}
+		// A scratch that held a longer document gives the same terms.
+		sc := textproc.GetScratch()
+		defer sc.Release()
+		scanTerms(sc, []string{strings.Repeat("Acme named a new CEO in 2004. ", 8)})
+		if got := scanTerms(sc, []string{title, text}); !slices.Equal(got, want) {
+			t.Fatalf("scanTerms over (%q, %q) after a longer text = %q, want %q", title, text, got, want)
 		}
 	})
 }

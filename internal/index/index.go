@@ -29,8 +29,8 @@ package index
 
 import (
 	"runtime"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"etap/internal/obs"
@@ -165,40 +165,48 @@ func (ix *Index) shardFor(docID string) *shard {
 	return ix.shards[route(docID)%uint64(len(ix.shards))]
 }
 
-// tokenPool holds the token buffers terms tokenizes into.
-var tokenPool = sync.Pool{New: func() any { return new([]textproc.Token) }}
-
-// terms normalizes text into index terms: lower-cased stemmed word
-// tokens plus number tokens (so queries like "Q4 2004" work). The
-// tokens go into a pooled buffer, so only the terms are allocated.
-func terms(text string) []string {
-	buf := tokenPool.Get().(*[]textproc.Token)
-	toks := textproc.AppendTokens((*buf)[:0], text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		switch t.Kind {
-		case textproc.KindWord:
-			out = append(out, textproc.Stem(t.Lower()))
-		case textproc.KindNumber:
-			out = append(out, t.Text)
+// scanTerms replaces sc.Words with the index terms of parts and
+// returns them: lower-cased stemmed word tokens plus number tokens (so
+// queries like "Q4 2004" work). Parts are read in order as one text
+// with a space between them, so positions continue across parts and a
+// phrase may span two of them. The add path indexes straight from this
+// pooled scratch; once it is warm, and every stem is in textproc's
+// word table, a document's terms allocate nothing.
+func scanTerms(sc *textproc.Scratch, parts []string) []string {
+	clear(sc.Words)
+	sc.Words = sc.Words[:0]
+	for _, p := range parts {
+		for _, t := range sc.Tokenize(p) {
+			switch t.Kind {
+			case textproc.KindWord:
+				sc.Words = append(sc.Words, textproc.Stem(t.Text))
+			case textproc.KindNumber:
+				sc.Words = append(sc.Words, t.Text)
+			}
 		}
 	}
-	// Tokens alias text: a pooled buffer must not pin the document.
-	clear(toks)
-	*buf = toks[:0]
-	tokenPool.Put(buf)
-	return out
+	return sc.Words
 }
 
-// Add indexes a document. It is safe to call concurrently: tokenization
-// runs outside any lock and only the owning shard's write lock is
-// taken, so bulk loading parallelizes across shards. Adding the same
-// docID twice panics: the index has no delete path and silent
-// double-indexing would corrupt scores. Every Add invalidates the query
-// cache (by advancing the index generation).
-func (ix *Index) Add(docID, text string) {
-	ts := terms(text)
-	ix.shardFor(docID).add(docID, ts)
+// terms returns the index terms of parts (see scanTerms) in a slice of
+// their own, for a caller that keeps them, such as a parsed Query.
+func terms(parts ...string) []string {
+	sc := textproc.GetScratch()
+	defer sc.Release()
+	return slices.Clone(scanTerms(sc, parts))
+}
+
+// Add indexes a document made of parts, such as a page's title and
+// text, read as one text with a space between parts. It is safe to
+// call concurrently: tokenization runs outside any lock and only the
+// owning shard's write lock is taken, so bulk loading parallelizes
+// across shards. Adding the same docID twice panics: the index has no
+// delete path and silent double-indexing would corrupt scores. Every
+// Add invalidates the query cache (by advancing the index generation).
+func (ix *Index) Add(docID string, parts ...string) {
+	sc := textproc.GetScratch()
+	ix.shardFor(docID).add(docID, scanTerms(sc, parts))
+	sc.Release()
 	ix.gen.Add(1)
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"etap/internal/obs"
+	"etap/internal/textproc"
 )
 
 // Segment-engine traffic reports into the process-wide registry. The
@@ -214,11 +215,14 @@ func (si *SegmentIndex) writerFor(docID string) *writer {
 // reaches the flush threshold. Adding the same docID twice panics,
 // matching the in-RAM engine; the seen set spans committed segments,
 // so the contract holds across restarts too. Every Add invalidates the
-// query cache by advancing the engine generation.
-func (si *SegmentIndex) Add(docID, text string) {
-	ts := terms(text)
+// query cache by advancing the engine generation. Like Index.Add, it
+// reads parts as one text with a space between them.
+func (si *SegmentIndex) Add(docID string, parts ...string) {
+	sc := textproc.GetScratch()
 	w := si.writerFor(docID)
-	if w.add(docID, ts) {
+	full := w.add(docID, scanTerms(sc, parts))
+	sc.Release()
+	if full {
 		if sealed := si.seal(w, si.flushDocs); sealed != nil {
 			si.flushCh <- sealed // blocks when the flusher is behind: ingest backpressure
 		}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"etap/internal/textproc"
 )
 
 // reopenedSegmentIndex loads docs through a segment engine with the
@@ -94,6 +96,9 @@ func TestUncachedSegmentReadAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20k-document index")
 	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
 	const query = `"new ceo" acquired revenue`
 	allocs := func(n int) (search, near float64) {
 		si := reopenedSegmentIndex(t, SegmentOptions{Writers: 1, FlushDocs: 1 << 30}, syntheticCorpus(n, 48))
@@ -115,5 +120,29 @@ func TestUncachedSegmentReadAllocsBounded(t *testing.T) {
 	}
 	if near20k > near2k+margin {
 		t.Errorf("CoNearFreq allocates %.0f times at 20k docs, %.0f at 2k: grows with the postings scanned", near20k, near2k)
+	}
+}
+
+// TestWarmTermsAllocateNothing pins the add path's allocation property:
+// a document's terms go into pooled scratch and every stem comes from
+// textproc's word table, so once both are warm, normalizing a document
+// allocates nothing. The path once made one []string per document.
+func TestWarmTermsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	docs := syntheticCorpus(8, 5)
+	scan := func() {
+		for _, d := range docs {
+			sc := textproc.GetScratch()
+			if len(scanTerms(sc, []string{"Acme Corp names a new CEO", d.text})) == 0 {
+				t.Fatal("no terms")
+			}
+			sc.Release()
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(50, scan); allocs != 0 {
+		t.Errorf("the terms of %d warmed documents allocated %v times, want 0", len(docs), allocs)
 	}
 }

@@ -27,7 +27,7 @@ func TagTokens(tokens []textproc.Token) []TaggedToken {
 		lowered, tags = make([]string, 0, len(tokens)), make([]Tag, 0, len(tokens))
 	}
 	for _, t := range tokens {
-		lowered = append(lowered, strings.ToLower(t.Text))
+		lowered = append(lowered, textproc.Lower(t.Text))
 	}
 	tags = tags[:len(tokens)]
 	tagInto(tokens, lowered, tags)

@@ -100,7 +100,7 @@ func direction(tokens []textproc.Token, start, end int) int {
 		if !tokens[i].IsWord() {
 			continue
 		}
-		stem := textproc.Stem(tokens[i].Lower())
+		stem := textproc.Stem(tokens[i].Text)
 		var d int
 		switch {
 		case upWords[stem]:

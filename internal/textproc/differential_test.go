@@ -39,7 +39,42 @@ func FuzzTokenizeMatchesReference(f *testing.F) {
 		if got := AppendTokens(prefix, s); !reflect.DeepEqual(got, append(prefix[:1:1], want...)) {
 			t.Fatalf("AppendTokens(%+v, %q)\n got  %+v\n want %+v", prefix, s, got, want)
 		}
+		// A scratch that held a longer text tokenizes and lower-cases
+		// exactly as the allocating entry points do.
+		sc := GetScratch()
+		defer sc.Release()
+		sc.Tokenize(strings.Repeat("Acme named a new CEO. ", 8))
+		sc.Lowered()
+		if got := sc.Tokenize(s); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("Scratch.Tokenize(%q)\n got  %+v\n want %+v", s, got, want)
+		}
+		if got, want := sc.Lowered(), Lowered(want); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("Scratch.Lowered over %q = %q, want %q", s, got, want)
+		}
 	})
+}
+
+// TestScratchReleaseClears checks that a released Scratch holds no
+// string in any slot of its buffers, so a pooled one keeps no
+// document reachable: not even past the length of its last use.
+func TestScratchReleaseClears(t *testing.T) {
+	sc := new(Scratch)
+	sc.Tokenize("Acme Corp named a new CEO on Friday, and revenue rose 10%.")
+	sc.Lowered()
+	sc.Tokenize("Short text.")
+	sc.Lowered()
+	sc.Words = append(sc.Words, "appended")
+	sc.Release()
+	for i, tok := range sc.Tokens[:cap(sc.Tokens)] {
+		if tok != (Token{}) {
+			t.Errorf("Tokens[%d] = %+v after Release", i, tok)
+		}
+	}
+	for i, w := range sc.Words[:cap(sc.Words)] {
+		if w != "" {
+			t.Errorf("Words[%d] = %q after Release", i, w)
+		}
+	}
 }
 
 func FuzzSplitSentencesMatchesReference(f *testing.F) {

@@ -117,7 +117,7 @@ func SplitSentences(text string) []Sentence {
 			}
 			// Abbreviation or initial before the period.
 			word := precedingWord(text, i)
-			if abbreviations[strings.ToLower(word)] || isInitial(word) {
+			if abbreviations[Lower(word)] || isInitial(word) {
 				i++
 				continue
 			}

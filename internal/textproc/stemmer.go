@@ -1,18 +1,23 @@
 package textproc
 
-import "strings"
-
 // Stem reduces an English word to its stem using the classic Porter (1980)
 // algorithm. The input is lower-cased first; words of length <= 2, and
 // words with any byte outside a-z after lower-casing, come back
 // lower-cased but otherwise unchanged.
 //
+// Each distinct word is stemmed once, through the word table (see
+// Normalize), and the result is the table's copy: it is not a prefix
+// of the argument, so keeping a stem does not keep the text the word
+// was sliced from reachable. A repeated word's stem allocates nothing.
+func Stem(word string) string { return lookup(word).Stem }
+
+// porterStem is Stem's algorithm over an already lower-cased word.
+//
 // The steps edit a stack buffer in place. No step lengthens the word
 // (the "e" step 1b may append replaces a longer suffix it removed), so
-// the stem is never longer than the lower-cased word and is usually a
-// prefix of it; Stem then returns that prefix and allocates nothing.
-func Stem(word string) string {
-	lower := strings.ToLower(word)
+// the stem is never longer than lower and is usually a prefix of it;
+// porterStem then returns that prefix and allocates nothing.
+func porterStem(lower string) string {
 	if len(lower) <= 2 {
 		return lower
 	}
@@ -21,7 +26,7 @@ func Stem(word string) string {
 			return lower // non-alphabetic: leave untouched
 		}
 	}
-	var buf [32]byte
+	var buf [maxLexWord]byte
 	w := append(buf[:0], lower...)
 	w = step1a(w)
 	w = step1b(w)

@@ -178,11 +178,22 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
+// BenchmarkStem measures a stem found in the word table (hit) and one
+// computed and stored (miss).
 func BenchmarkStem(b *testing.B) {
-	b.ReportAllocs()
-	words := []string{"acquisitions", "management", "revenues", "growing", "appointed"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Stem(words[i%len(words)])
-	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		words := []string{"acquisitions", "Management", "revenues", "growing", "appointed"}
+		for i := 0; i < b.N; i++ {
+			Stem(words[i%len(words)])
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		words := missWords(16 << lexBits)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Stem(words[i%len(words)])
+		}
+	})
 }

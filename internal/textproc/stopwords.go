@@ -1,7 +1,5 @@
 package textproc
 
-import "strings"
-
 // stopwords is the standard English stop-word list used for feature
 // selection pre-processing (Section 3.2.1). Closed-class function words
 // only; content words are never stopped because the RIG analysis needs
@@ -45,7 +43,7 @@ var stopwords = map[string]bool{
 }
 
 // IsStopword reports whether the lower-cased form of w is a stop word.
-func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
+func IsStopword(w string) bool { return lookup(w).Stop }
 
 // RemoveStopwords filters stop words out of a token slice in place order,
 // returning a new slice of the surviving words.
@@ -64,11 +62,9 @@ func RemoveStopwords(words []string) []string {
 func NormalizeWords(words []string) []string {
 	out := make([]string, 0, len(words))
 	for _, w := range words {
-		lw := strings.ToLower(w)
-		if stopwords[lw] {
-			continue
+		if e := lookup(w); !e.Stop {
+			out = append(out, e.Stem)
 		}
-		out = append(out, Stem(lw))
 	}
 	return out
 }

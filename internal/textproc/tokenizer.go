@@ -4,11 +4,12 @@
 //
 // The pipeline mirrors the pre-processing described in Section 3.2.1 of the
 // paper: "simple operations such as changing all text to lower case,
-// stemming, and stop-word elimination".
+// stemming, and stop-word elimination". Each distinct word goes through
+// them once: a process-wide word table (Normalize) keeps its results.
 package textproc
 
 import (
-	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -43,8 +44,8 @@ func (t Token) IsWord() bool { return t.Kind == KindWord }
 // IsNumber reports whether the token is numeric.
 func (t Token) IsNumber() bool { return t.Kind == KindNumber }
 
-// Lower returns the lower-cased surface form.
-func (t Token) Lower() string { return strings.ToLower(t.Text) }
+// Lower returns the lower-cased surface form, through the word table.
+func (t Token) Lower() string { return Lower(t.Text) }
 
 // Tokenize splits text into word, number, punctuation and symbol tokens.
 // Words keep internal apostrophes and hyphens; numbers keep internal commas
@@ -139,20 +140,71 @@ func isSymbolRune(r rune) bool {
 func Lowered(tokens []Token) []string {
 	out := make([]string, len(tokens))
 	for i, t := range tokens {
-		out[i] = strings.ToLower(t.Text)
+		out[i] = Lower(t.Text)
 	}
 	return out
+}
+
+// Scratch holds reusable buffers for one text at a time: its tokens
+// and a string per token or per word, so that a caller tokenizing many
+// texts allocates nothing once the buffers have grown. Get one with
+// GetScratch and return it with Release.
+type Scratch struct {
+	// Tokens holds the tokens Tokenize wrote.
+	Tokens []Token
+	// Words holds the forms Lowered wrote, or any per-word strings
+	// the caller appends (the index appends its terms).
+	Words []string
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch returns an empty Scratch from a pool.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Tokenize replaces s.Tokens with text's tokens, exactly as the
+// package-level Tokenize returns them, and returns them. They alias
+// text and stay valid until the next Tokenize or Release.
+func (s *Scratch) Tokenize(text string) []Token {
+	clear(s.Tokens)
+	s.Tokens = AppendTokens(s.Tokens[:0], text)
+	return s.Tokens
+}
+
+// Lowered replaces s.Words with the lower-cased form of every token in
+// s.Tokens, exactly as the package-level Lowered returns them, and
+// returns them. They stay valid until the next change to s.Words or
+// Release.
+func (s *Scratch) Lowered() []string {
+	clear(s.Words)
+	s.Words = s.Words[:0]
+	for _, t := range s.Tokens {
+		s.Words = append(s.Words, Lower(t.Text))
+	}
+	return s.Words
+}
+
+// Release empties s and returns it to the pool; s must not be used
+// afterwards. Tokens alias the text they came from, so every buffer is
+// cleared first: a pooled Scratch keeps no document reachable.
+func (s *Scratch) Release() {
+	clear(s.Tokens)
+	clear(s.Words)
+	s.Tokens, s.Words = s.Tokens[:0], s.Words[:0]
+	scratchPool.Put(s)
 }
 
 // Words returns the lower-cased word tokens of text, dropping punctuation,
 // numbers and symbols. It is the convenience entry point used by callers
 // that only need a bag of words.
 func Words(text string) []string {
-	toks := Tokenize(text)
+	sc := GetScratch()
+	defer sc.Release()
+	toks := sc.Tokenize(text)
 	out := make([]string, 0, len(toks))
 	for _, t := range toks {
 		if t.Kind == KindWord {
-			out = append(out, strings.ToLower(t.Text))
+			out = append(out, Lower(t.Text))
 		}
 	}
 	return out

@@ -45,7 +45,7 @@ func ContainsAnyStem(words ...string) Filter {
 			if u.IsEntity() {
 				continue
 			}
-			if stems[textproc.Stem(u.Lower())] {
+			if stems[textproc.Stem(u.Text)] {
 				return true
 			}
 		}

@@ -90,7 +90,7 @@ func (w *Web) indexPage(p *Page) {
 	if w.ix.Has(p.URL) {
 		return
 	}
-	w.ix.Add(p.URL, p.Title+" "+p.Text)
+	w.ix.Add(p.URL, p.Title, p.Text)
 }
 
 // store validates and records a page in the page table without
@@ -174,7 +174,7 @@ func (w *Web) Ingest(p Page) error {
 	// through tokenization would serialize concurrent ingests. The
 	// page table already holds the URL, so a racing duplicate Ingest
 	// fails above rather than double-indexing.
-	w.ix.Add(p.URL, p.Title+" "+p.Text)
+	w.ix.Add(p.URL, p.Title, p.Text)
 	return nil
 }
 
@@ -283,7 +283,7 @@ func resultSnippet(text string, queryTerms []string) string {
 	words := strings.Fields(text)
 	hit := -1
 	for i, w := range words {
-		lw := textproc.Stem(strings.ToLower(strings.Trim(w, `.,;:!?"'()`)))
+		lw := textproc.Stem(strings.Trim(w, `.,;:!?"'()`))
 		if stems[lw] {
 			hit = i
 			break
