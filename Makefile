@@ -1,8 +1,9 @@
 # CI entry points. `make ci` is vet + build + lint + race-enabled
 # tests. The GitHub Actions workflow runs the same checks as separate
 # steps (go vet, go build, `make lint`, `make lint-bench`, go test
-# -race, then the lock-free lead-read stress `make race-reads` and the
-# index's concurrent-read stress `make race-index`), then
+# -race, then the lock-free lead-read stress `make race-reads`, the
+# index's concurrent-read stress `make race-index` and the extraction
+# kernel's stress `make race-extract`), then
 # `make doccheck`, `make examples`, `make fmt-check`, the benchmark
 # module's vet and tests (`make bench-check`), one run of every
 # benchmark (`make bench`) and a time-boxed pass of every fuzz target
@@ -10,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race race-reads race-index bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race race-reads race-index race-extract bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -64,6 +65,13 @@ race-reads:
 race-index:
 	$(GO) test -race -count=10 -run 'TestSegmentConcurrentIngestSearchMerge|TestScratchConcurrentReaders|TestMemtableConcurrentReaders' ./internal/index
 
+# Batch and streaming extraction score snippets in pooled per-worker
+# scratch and share the batch stash, so the tests that run them
+# concurrently on one System run 10 times under the race detector
+# (about 15 s on 2 vCPUs).
+race-extract:
+	$(GO) test -race -count=10 -run 'TestBatchExtractionConcurrent|TestBatchAndStreamingShareSystem' ./internal/core
+
 # One pass over every benchmark (quality numbers + observability
 # overhead). CI runs it so the benchmarks that size performance claims
 # (BenchmarkWorld, BenchmarkIndexSearch, BenchmarkExtractEvents*) keep
@@ -114,8 +122,24 @@ bench-trace:
 
 # Doc-comment lint: every exported symbol must carry a godoc comment,
 # enforced by etaplint's doc-comments rule over the whole repository.
+# Then every backticked Test…, Fuzz… or Benchmark… name the design and
+# operations documents cite must be a function in some _test.go file;
+# a name with a `*` is a pattern and is not checked. CHANGES.md is left
+# out: it records tests that were later removed.
+TEST_NAME_DOCS = STORAGE.md DESIGN.md ARCHITECTURE.md OPERATIONS.md EXPERIMENTS.md
+
 doccheck:
 	$(GO) run ./cmd/etaplint -rules doc-comments ./...
+	@defined=$$(grep -rhoE --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u); \
+	status=0; \
+	for cite in $$(grep -onE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_*]+' $(TEST_NAME_DOCS)); do \
+		name=$${cite##*\`}; \
+		case $$name in *'*'*) continue;; esac; \
+		if ! printf '%s\n' "$$defined" | grep -qx "$$name"; then \
+			echo "doccheck: $${cite%%:\`*} cites $$name, which no _test.go file defines"; status=1; \
+		fi; \
+	done; \
+	exit $$status
 
 # The examples are documentation too — keep them compiling.
 examples:

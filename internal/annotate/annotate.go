@@ -5,6 +5,9 @@
 package annotate
 
 import (
+	"slices"
+	"sync"
+
 	"etap/internal/ner"
 	"etap/internal/pos"
 	"etap/internal/textproc"
@@ -46,35 +49,62 @@ func New(rec *ner.Recognizer) *Annotator {
 // Annotate tokenizes text, recognizes entities, collapses each entity
 // span into a single unit, and tags the remaining word tokens with their
 // coarse part-of-speech category. Punctuation and stray symbols are
-// dropped: they carry no signal for trigger-event classification. Each
-// token is lower-cased once, for the recognizer and the tagger alike,
-// into pooled scratch that no returned unit references.
+// dropped: they carry no signal for trigger-event classification.
 func (a *Annotator) Annotate(text string) []Unit {
-	sc := textproc.GetScratch()
-	defer sc.Release()
-	tokens := sc.Tokenize(text)
-	lowered := sc.Lowered()
-	entities := a.rec.RecognizeLowered(tokens, lowered)
-	tags := pos.Tags(tokens, lowered)
+	return a.AppendUnits(nil, text)
+}
 
-	units := make([]Unit, 0, len(tokens))
+// AppendUnits appends the units Annotate returns to dst and returns the
+// extended slice, so a caller that reuses one buffer annotates without
+// allocating for the units. Each token is lower-cased once, for the
+// recognizer and the tagger alike; tokens, lower-cased forms, tags and
+// entities go into pooled scratch that no returned unit references. A
+// unit's text is a slice of text, or of a string the recognizer joined.
+func (a *Annotator) AppendUnits(dst []Unit, text string) []Unit {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	tokens := sc.text.Tokenize(text)
+	lowered := sc.text.Lowered()
+	sc.entities = a.rec.AppendEntities(sc.entities[:0], text, tokens, lowered)
+	sc.tags = pos.AppendTags(sc.tags[:0], tokens, lowered)
+
+	dst = slices.Grow(dst, len(tokens))
+	entities, tags := sc.entities, sc.tags
 	ei := 0
 	for i := 0; i < len(tokens); {
 		if ei < len(entities) && entities[ei].TokenStart == i {
 			e := entities[ei]
-			units = append(units, Unit{Text: e.Text, Entity: e.Category})
+			dst = append(dst, Unit{Text: e.Text, Entity: e.Category})
 			i = e.TokenEnd
 			ei++
 			continue
 		}
 		if tokens[i].Kind == textproc.KindWord {
-			units = append(units, Unit{Text: tokens[i].Text, POS: tags[i].Coarse()})
+			dst = append(dst, Unit{Text: tokens[i].Text, POS: tags[i].Coarse()})
 		}
 		// numbers outside entities cannot occur (CNT catches them);
 		// punctuation and symbols are dropped.
 		i++
 	}
-	return units
+	return dst
+}
+
+// scratch is one annotation's pooled working memory.
+type scratch struct {
+	text     textproc.Scratch
+	entities []ner.Entity
+	tags     []pos.Tag
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears sc, so a pooled scratch keeps no text reachable, and
+// returns it to the pool.
+func (sc *scratch) release() {
+	sc.text.Reset()
+	clear(sc.entities)
+	sc.entities, sc.tags = sc.entities[:0], sc.tags[:0]
+	scratchPool.Put(sc)
 }
 
 // EntityCategories returns the set of entity categories present in units.

@@ -122,5 +122,5 @@ func trainNBFractional(labeled []Example, unlabeled []feature.Vector, post []flo
 		}
 		nb.logUnseen[y] = math.Log(alpha / den)
 	}
-	return nb
+	return nb.densify()
 }

@@ -40,6 +40,31 @@ type NaiveBayes struct {
 	logPrior  [2]float64
 	logLik    [2]map[int]float64 // feature id -> log P(f|y)
 	logUnseen [2]float64         // log-likelihood of an unseen feature
+	// dense[y][id] is logLik[y][id], or logUnseen[y] for an id the map
+	// lacks, for every id up to the largest the map holds: what Prob
+	// reads. densify builds it once a model is trained or loaded.
+	dense [2][]float64
+}
+
+// densify builds nb.dense from nb.logLik and returns nb.
+func (nb *NaiveBayes) densify() *NaiveBayes {
+	for y := 0; y < 2; y++ {
+		n := 0
+		for id := range nb.logLik[y] {
+			n = max(n, id+1)
+		}
+		d := make([]float64, n)
+		for id := range d {
+			d[id] = nb.logUnseen[y]
+		}
+		for id, ll := range nb.logLik[y] {
+			if id >= 0 { // no vocabulary assigns a negative id
+				d[id] = ll
+			}
+		}
+		nb.dense[y] = d
+	}
+	return nb
 }
 
 // TrainNaiveBayes fits the model on examples.
@@ -107,7 +132,7 @@ func TrainNaiveBayes(examples []Example, cfg NaiveBayesConfig) *NaiveBayes {
 			nb.logUnseen[y] = math.Log(alpha / den)
 		}
 	}
-	return nb
+	return nb.densify()
 }
 
 // Prob returns P(positive | x) via Bayes' rule in log space.
@@ -115,10 +140,11 @@ func (nb *NaiveBayes) Prob(x feature.Vector) float64 {
 	var logp [2]float64
 	for y := 0; y < 2; y++ {
 		lp := nb.logPrior[y]
+		dense := nb.dense[y]
 		for _, t := range x {
-			ll, ok := nb.logLik[y][t.ID]
-			if !ok {
-				ll = nb.logUnseen[y]
+			ll := nb.logUnseen[y]
+			if uint(t.ID) < uint(len(dense)) {
+				ll = dense[t.ID]
 			}
 			w := t.W
 			if nb.model == Bernoulli {

@@ -30,6 +30,8 @@ func (nb *NaiveBayes) Snapshot() NaiveBayesSnapshot {
 }
 
 // NaiveBayesFromSnapshot rebuilds a classifier from exported parameters.
+// Prob reads slices as long as the largest feature id, so the ids
+// should be those of a vocabulary: non-negative and dense.
 func NaiveBayesFromSnapshot(s NaiveBayesSnapshot) *NaiveBayes {
 	nb := &NaiveBayes{
 		model:     s.Model,
@@ -42,7 +44,7 @@ func NaiveBayesFromSnapshot(s NaiveBayesSnapshot) *NaiveBayes {
 			nb.logLik[y][id] = v
 		}
 	}
-	return nb
+	return nb.densify()
 }
 
 // SVMSnapshot is the serializable form of an SVM.

@@ -14,8 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -466,11 +464,12 @@ func (s *System) ExtractAllEvents(pages []*web.Page, threshold float64) []rank.E
 // ExtractAllEventsTraced is ExtractAllEvents contributing one
 // per-driver extraction span to the document trace carried by ctx —
 // a no-op without one, so the batch path pays nothing. The streaming
-// ingest worker (internal/alert) calls this form. Each page is split,
-// annotated and abstracted once per distinct policy, in page order;
-// every driver then classifies the same snippets inside its span, so
-// the events come out driver-major exactly as one ExtractEvents call
-// per driver would return them.
+// ingest worker (internal/alert) calls this form. The scoring kernel
+// takes each snippet, in page order, through annotation, abstraction
+// and every driver's classifier at once, so the driver spans all cover
+// that one pass; each carries its driver's ID and event count. The
+// events come out driver-major exactly as one ExtractEvents call per
+// driver would return them.
 func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, threshold float64) []rank.Event {
 	sc := s.newScorer()
 	if len(sc.drivers) == 0 {
@@ -479,164 +478,25 @@ func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, 
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	gen := snippet.Generator{N: s.cfg.SnippetN}
-	annotated := make([][]annotatedSnippet, len(pages))
-	for i, page := range pages {
-		annotated[i] = s.annotatePage(gen, page)
-		s.abstract(sc, annotated[i])
-	}
-	var events []rank.Event
+	spans := make([]*obs.DSpan, len(sc.drivers))
 	for d, td := range sc.drivers {
-		_, sp := obs.StartDSpan(ctx, "extract")
-		sp.SetAttr("driver", td.spec.ID)
+		_, spans[d] = obs.StartDSpan(ctx, "extract")
+		spans[d].SetAttr("driver", td.spec.ID)
 		if s.met != nil {
 			s.met.runs.Inc()
 		}
+	}
+	w := getScratch(sc)
+	defer w.release()
+	for _, page := range pages {
+		s.scorePage(sc, w, page, threshold)
+	}
+	var events []rank.Event
+	for d, td := range sc.drivers {
 		before := len(events)
-		for _, snips := range annotated {
-			events = s.classify(sc, d, snips, threshold, events)
-		}
-		sp.SetAttr("events", strconv.Itoa(len(events)-before))
-		sp.End()
-	}
-	return events
-}
-
-// annotatedSnippet is a snippet with its annotation and, once a scorer
-// has abstracted it, its feature lists: what every driver's classifier
-// scores.
-type annotatedSnippet struct {
-	snippet.Snippet
-	units []annotate.Unit
-	// feats[k] is the snippet under the scorer's policies[k];
-	// abstractDur is the time abstracting them took, when metrics are
-	// enabled.
-	feats       [][]string
-	abstractDur time.Duration
-}
-
-// annotatePage splits one page into snippets and annotates each — the
-// driver-independent half of extraction. When metrics are enabled it
-// attributes wall time to the snippet and annotate stages.
-func (s *System) annotatePage(gen snippet.Generator, page *web.Page) []annotatedSnippet {
-	m := s.met
-	var t time.Time
-	if m != nil {
-		t = time.Now()
-	}
-	snips := gen.Split(page.URL, page.Text)
-	if m != nil {
-		m.snippetDur.Observe(time.Since(t).Seconds())
-	}
-	out := make([]annotatedSnippet, len(snips))
-	for i, sn := range snips {
-		if m != nil {
-			t = time.Now()
-		}
-		out[i] = annotatedSnippet{Snippet: sn, units: s.ann.Annotate(sn.Text)}
-		if m != nil {
-			m.annotateDur.Observe(time.Since(t).Seconds())
-		}
-	}
-	return out
-}
-
-// scorer is the trained drivers in sorted-ID order with their distinct
-// abstraction policies: drivers that share a policy share the feature
-// lists it abstracts, so a snippet is abstracted once per policy, not
-// once per driver.
-type scorer struct {
-	drivers  []*trainedDriver
-	policies []feature.Policy
-	policyOf []int // drivers[d] abstracts with policies[policyOf[d]]
-}
-
-func (s *System) newScorer() *scorer {
-	ids := s.Drivers()
-	sort.Strings(ids)
-	sc := &scorer{}
-	for _, id := range ids {
-		td := s.drivers[id]
-		k := slices.IndexFunc(sc.policies, func(p feature.Policy) bool { return maps.Equal(p, td.policy) })
-		if k < 0 {
-			k = len(sc.policies)
-			sc.policies = append(sc.policies, td.policy)
-		}
-		sc.drivers = append(sc.drivers, td)
-		sc.policyOf = append(sc.policyOf, k)
-	}
-	return sc
-}
-
-// scoreSnippets scores one page's annotated snippets for every driver
-// of sc: events[d] are drivers[d]'s trigger events, in snippet order.
-func (s *System) scoreSnippets(sc *scorer, snips []annotatedSnippet, threshold float64) [][]rank.Event {
-	s.abstract(sc, snips)
-	events := make([][]rank.Event, len(sc.drivers))
-	for d := range sc.drivers {
-		events[d] = s.classify(sc, d, snips, threshold, nil)
-	}
-	return events
-}
-
-// abstract fills in each snippet's feature lists, one per policy of sc.
-func (s *System) abstract(sc *scorer, snips []annotatedSnippet) {
-	feats := make([][]string, len(snips)*len(sc.policies))
-	for i := range snips {
-		sn := &snips[i]
-		var t time.Time
-		if s.met != nil {
-			t = time.Now()
-		}
-		sn.feats = feats[i*len(sc.policies) : (i+1)*len(sc.policies)]
-		for k, p := range sc.policies {
-			sn.feats[k] = feature.Extract(sn.units, p)
-		}
-		if s.met != nil {
-			sn.abstractDur = time.Since(t)
-		}
-	}
-}
-
-// classify scores abstracted snippets against drivers[d]'s classifier
-// and appends those at or above threshold to events as trigger events.
-// The subject company is the first ORG entity in the snippet (when
-// any). When metrics are enabled it counts snippets scored and events
-// emitted, and observes the classify stage once per snippet: the
-// driver's own scoring plus an equal share of the snippet's feature
-// abstraction.
-func (s *System) classify(sc *scorer, d int, snips []annotatedSnippet, threshold float64, events []rank.Event) []rank.Event {
-	m := s.met
-	td := sc.drivers[d]
-	for i := range snips {
-		sn := &snips[i]
-		var t time.Time
-		if m != nil {
-			t = time.Now()
-		}
-		x := feature.Vectorize(td.vocab, sn.feats[sc.policyOf[d]], false)
-		p := td.clf.Prob(x)
-		if m != nil {
-			m.classifyDur.Observe((time.Since(t) + sn.abstractDur/time.Duration(len(sc.drivers))).Seconds())
-			m.snippets.Inc()
-		}
-		if p < threshold {
-			continue
-		}
-		if m != nil {
-			m.events.Inc()
-		}
-		ev := rank.Event{
-			SnippetID: sn.ID,
-			Text:      sn.Text,
-			Driver:    td.spec.ID,
-			Score:     p,
-			Company:   firstOrg(sn.units),
-		}
-		if td.spec.Orientation != nil {
-			ev.Orientation = td.spec.Orientation.Score(sn.Text)
-		}
-		events = append(events, ev)
+		events = appendDriverEvents(events, w.events, td.spec.ID)
+		spans[d].SetAttr("events", strconv.Itoa(len(events)-before))
+		spans[d].End()
 	}
 	return events
 }
@@ -668,13 +528,4 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func firstOrg(units []annotate.Unit) string {
-	for _, u := range units {
-		if u.Entity == ner.ORG {
-			return u.Text
-		}
-	}
-	return ""
 }

@@ -6,7 +6,6 @@ import (
 
 	"etap/internal/par"
 	"etap/internal/rank"
-	"etap/internal/snippet"
 	"etap/internal/web"
 )
 
@@ -17,7 +16,7 @@ import (
 // scheduling. workers <= 0 uses GOMAXPROCS; one worker scores the pages
 // in order on the caller's goroutine.
 //
-// One pass splits and annotates each page once and scores it for every
+// One pass takes each page through the scoring kernel once, for every
 // trained driver, since callers extract one batch for each driver in
 // turn. The call returns driverID's events and stashes the other
 // drivers' on the System; a later call for one of them over the same
@@ -52,24 +51,28 @@ func (s *System) ExtractEventsParallel(driverID string, pages []*web.Page, thres
 		m.queueDepth.Add(int64(len(pages)))
 	}
 	sc := s.newScorer()
-	gen := snippet.Generator{N: s.cfg.SnippetN}
-	perPage := make([][][]rank.Event, len(pages))
+	perPage := make([][]rank.Event, len(pages)) // every driver's, in (snippet, driver) order
 	par.For(workers, len(pages), func(i int) {
 		if m != nil {
 			m.queueDepth.Dec()
 			m.workersBusy.Inc()
 		}
-		perPage[i] = s.scoreSnippets(sc, s.annotatePage(gen, pages[i]), threshold)
+		w := getScratch(sc)
+		s.scorePage(sc, w, pages[i], threshold)
+		if len(w.events) > 0 {
+			perPage[i] = slices.Clone(w.events)
+		}
+		w.release()
 		if m != nil {
 			m.workersBusy.Dec()
 		}
 	})
 	var out []rank.Event
 	others := make(map[string][]rank.Event, len(sc.drivers)-1)
-	for d, td := range sc.drivers {
+	for _, td := range sc.drivers {
 		var events []rank.Event
 		for _, page := range perPage {
-			events = append(events, page[d]...)
+			events = appendDriverEvents(events, page, td.spec.ID)
 		}
 		if td.spec.ID == driverID {
 			out = events

@@ -131,10 +131,11 @@ func stashEmpty(sys *System) bool {
 }
 
 // TestBatchExtractionAnnotatesOnce checks that one ExtractEventsParallel
-// call per trained driver over the same pages annotates each snippet
-// once in all, that each driver still gets exactly its own events —
-// those of a System trained with that driver alone — and that the
-// stash empties once every driver has taken its events.
+// call per trained driver over the same pages splits each page and
+// annotates each snippet once in all, that each driver still gets
+// exactly its own events — those of a System trained with that driver
+// alone — and that the stash empties once every driver has taken its
+// events.
 func TestBatchExtractionAnnotatesOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := newFixture(t, 51, Config{Seed: 51, Metrics: reg})
@@ -148,9 +149,10 @@ func TestBatchExtractionAnnotatesOnce(t *testing.T) {
 	for _, p := range pages {
 		snippets += len(snippet.Generator{}.Split(p.URL, p.Text))
 	}
+	split := obs.StageDuration(reg, "snippet")
 	annotated := obs.StageDuration(reg, "annotate")
 	classified := obs.StageDuration(reg, "classify")
-	before, classifiedBefore := annotated.Count(), classified.Count()
+	splitBefore, before, classifiedBefore := split.Count(), annotated.Count(), classified.Count()
 	got := make(map[string][]rank.Event)
 	for _, d := range corpus.Drivers {
 		events, err := f.sys.ExtractEventsParallel(string(d), pages, 0.5, 0)
@@ -158,6 +160,9 @@ func TestBatchExtractionAnnotatesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		got[string(d)] = events
+	}
+	if n := split.Count() - splitBefore; n != uint64(len(pages)) {
+		t.Errorf("snippet stage observed %d pages, want %d (each once)", n, len(pages))
 	}
 	if n := annotated.Count() - before; n != uint64(snippets) {
 		t.Errorf("annotate stage observed %d snippets, want %d (each once)", n, snippets)

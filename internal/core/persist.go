@@ -77,6 +77,15 @@ func (s *System) ImportDriver(m DriverModel, filter train.Filter) error {
 		if m.NaiveBayes == nil {
 			return fmt.Errorf("core: nb model missing parameters")
 		}
+		// The classifier scores from slices as long as its largest
+		// feature id, so an id is checked against the vocabulary first.
+		for _, ll := range m.NaiveBayes.LogLik {
+			for id := range ll {
+				if id < 0 || id >= len(m.Vocab) {
+					return fmt.Errorf("core: nb model feature id %d outside its %d-feature vocabulary", id, len(m.Vocab))
+				}
+			}
+		}
 		clf = classify.NaiveBayesFromSnapshot(*m.NaiveBayes)
 	case "svm":
 		if m.SVM == nil {

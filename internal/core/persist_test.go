@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"etap/internal/classify"
 	"etap/internal/corpus"
 )
 
@@ -106,6 +107,12 @@ func TestImportDriverValidation(t *testing.T) {
 	}
 	if err := f.sys.ImportDriver(DriverModel{ID: "x", Classifier: "nb"}, nil); err == nil {
 		t.Error("no error for missing nb parameters")
+	}
+	for _, id := range []int{-1, 2, 1 << 40} {
+		nb := &classify.NaiveBayesSnapshot{LogLik: [2]map[int]float64{{0: -1}, {id: -1}}}
+		if err := f.sys.ImportDriver(DriverModel{ID: "x", Classifier: "nb", Vocab: []string{"a", "b"}, NaiveBayes: nb}, nil); err == nil {
+			t.Errorf("no error for nb feature id %d outside a 2-feature vocabulary", id)
+		}
 	}
 	if err := f.sys.UnmarshalDriver([]byte("{"), nil); err == nil {
 		t.Error("no error for malformed JSON")

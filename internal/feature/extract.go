@@ -1,8 +1,6 @@
 package feature
 
 import (
-	"strings"
-
 	"etap/internal/annotate"
 	"etap/internal/ner"
 	"etap/internal/pos"
@@ -47,48 +45,73 @@ func BagOfWordsPolicy() Policy {
 //     categories the lower-cased surface ("ORG=ibm").
 //   - Stop words never become IV features.
 func Extract(units []annotate.Unit, p Policy) []string {
-	out := make([]string, 0, len(units))
-	// pa holds the indices in out of the PA features emitted so far —
+	return AppendFeatures(make([]string, 0, len(units)), units, p)
+}
+
+// AppendFeatures appends the features Extract returns to dst and
+// returns the extended slice, so a caller that reuses one buffer
+// abstracts without allocating for the list.
+func AppendFeatures(dst []string, units []annotate.Unit, p Policy) []string {
+	// pa holds the indices in dst of the PA features emitted so far —
 	// at most one per category, so a scan beats a map.
 	var paBuf [16]int
 	pa := paBuf[:0]
-	addPA := func(prefix, name string) {
+	addPA := func(name string) {
 		for _, k := range pa {
-			if rest, ok := strings.CutPrefix(out[k], prefix); ok && rest == name {
+			if dst[k] == name {
 				return
 			}
 		}
-		pa = append(pa, len(out))
-		out = append(out, prefix+name)
+		pa = append(pa, len(dst))
+		dst = append(dst, name)
 	}
 	for _, u := range units {
+		c := POSCategory(u.POS)
 		if u.IsEntity() {
-			rep, ok := p[EntityCategory(u.Entity)]
-			if !ok {
-				continue
-			}
-			switch rep {
-			case RepPA:
-				addPA("ENT=", string(u.Entity))
-			case RepIV:
-				out = append(out, string(u.Entity)+"="+u.Lower())
-			}
-			continue
+			c = EntityCategory(u.Entity)
 		}
-		rep, ok := p[POSCategory(u.POS)]
+		rep, ok := p[c]
 		if !ok {
 			continue
 		}
-		switch rep {
-		case RepPA:
-			addPA("POS=", string(u.POS))
-		case RepIV:
+		switch {
+		case rep == RepPA:
+			addPA(paName(c))
+		case rep == RepIV && u.IsEntity():
+			dst = append(dst, string(u.Entity)+"="+u.Lower())
+		case rep == RepIV:
 			if lx := textproc.Normalize(u.Text); !lx.Stop {
-				out = append(out, "w="+lx.Stem)
+				dst = append(dst, "w="+lx.Stem)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// paNames holds the presence-absence feature of every category in
+// AllCategories, the categories the built-in policies name, built once:
+// "ENT=ORG", "POS=nn".
+var paNames = func() map[Category]string {
+	m := make(map[Category]string)
+	for _, c := range AllCategories() {
+		m[c] = paFeature(c)
+	}
+	return m
+}()
+
+// paName returns the presence-absence feature of category c.
+func paName(c Category) string {
+	if name, ok := paNames[c]; ok {
+		return name
+	}
+	return paFeature(c)
+}
+
+func paFeature(c Category) string {
+	if c.Entity != "" {
+		return "ENT=" + string(c.Entity)
+	}
+	return "POS=" + string(c.POS)
 }
 
 // ExtractText annotates text with the given annotator and extracts

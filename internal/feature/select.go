@@ -45,10 +45,11 @@ func (m SelectionMeasure) String() string {
 // frequency counts split by label.
 func docSets(examples [][]string, labels []bool) (df map[string][2]float64, n [2]float64) {
 	df = make(map[string][2]float64)
+	seen := map[string]bool{} // one example's features, cleared for the next
 	for i, feats := range examples {
 		li := labelIndex(labels[i])
 		n[li]++
-		seen := map[string]bool{}
+		clear(seen)
 		for _, f := range feats {
 			if !seen[f] {
 				seen[f] = true

@@ -66,33 +66,46 @@ type Vector []Term
 // is true unknown features are added to the vocabulary; otherwise they
 // are silently skipped (the correct behaviour at inference time).
 func Vectorize(v *Vocab, feats []string, grow bool) Vector {
-	ids := make([]int, 0, len(feats))
+	return AppendVector(nil, new([]int), v, feats, grow)
+}
+
+// AppendVector appends the terms of the vector Vectorize returns to dst
+// and returns the extended slice. *ids is scratch space for the feature
+// ids, grown as needed and kept there, so a caller that reuses both
+// buffers vectorizes without allocating.
+func AppendVector(dst Vector, ids *[]int, v *Vocab, feats []string, grow bool) Vector {
+	buf := slices.Grow((*ids)[:0], len(feats))
 	for _, f := range feats {
 		if grow {
-			ids = append(ids, v.ID(f))
+			buf = append(buf, v.ID(f))
 		} else if id, ok := v.Lookup(f); ok {
-			ids = append(ids, id)
+			buf = append(buf, id)
 		}
 	}
+	*ids = buf
 	// Sorting the ids puts repeats side by side: each run is one term
 	// whose weight is the run length.
-	slices.Sort(ids)
+	slices.Sort(buf)
 	terms := 0
-	for i := range ids {
-		if i == 0 || ids[i] != ids[i-1] {
+	for i := range buf {
+		if i == 0 || buf[i] != buf[i-1] {
 			terms++
 		}
 	}
-	out := make(Vector, 0, terms)
-	for i := 0; i < len(ids); {
+	if dst == nil {
+		dst = make(Vector, 0, terms) // empty, not nil, as Vectorize has always returned
+	} else {
+		dst = slices.Grow(dst, terms)
+	}
+	for i := 0; i < len(buf); {
 		j := i + 1
-		for j < len(ids) && ids[j] == ids[i] {
+		for j < len(buf) && buf[j] == buf[i] {
 			j++
 		}
-		out = append(out, Term{ID: ids[i], W: float64(j - i)})
+		dst = append(dst, Term{ID: buf[i], W: float64(j - i)})
 		i = j
 	}
-	return out
+	return dst
 }
 
 // L2Norm returns the Euclidean norm of the vector.

@@ -1,6 +1,8 @@
 package ner
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"etap/internal/textproc"
@@ -8,7 +10,10 @@ import (
 
 // FuzzRecognize asserts recognizer totality: no panics, non-overlapping
 // in-order entities, spans within token bounds, and every entity's
-// category in the 13-category inventory.
+// category in the 13-category inventory. Each entity's text must be its
+// tokens joined by single spaces, whether it was sliced from the source
+// text (RecognizeText) or joined afresh (Recognize), and both forms must
+// find the same entities.
 func FuzzRecognize(f *testing.F) {
 	for _, s := range []string{
 		"",
@@ -19,6 +24,8 @@ func FuzzRecognize(f *testing.F) {
 		"$ % 1234 . . . Inc Corp Ltd",
 		"mr mrs dr MR. DR.",
 		"\xff\xfe broken bytes $5",
+		"Acme  Holdings\tLtd named New\nYork's Mary   Smith chief executive officer",
+		"Brellvane Inc\xff Corp paid \xe2\x82\xac5 million",
 	} {
 		f.Add(s)
 	}
@@ -29,8 +36,12 @@ func FuzzRecognize(f *testing.F) {
 	rec := NewRecognizer()
 	f.Fuzz(func(t *testing.T, s string) {
 		tokens := textproc.Tokenize(s)
+		entities := rec.RecognizeText(s)
+		if joined := rec.Recognize(tokens); !reflect.DeepEqual(entities, joined) {
+			t.Fatalf("RecognizeText(%q) = %+v, Recognize = %+v", s, entities, joined)
+		}
 		prev := -1
-		for _, e := range rec.Recognize(tokens) {
+		for _, e := range entities {
 			if !valid[e.Category] {
 				t.Fatalf("unknown category %q", e.Category)
 			}
@@ -46,6 +57,13 @@ func FuzzRecognize(f *testing.F) {
 			}
 			if e.Text == "" {
 				t.Fatalf("empty entity text: %+v", e)
+			}
+			words := make([]string, 0, e.Span())
+			for _, tok := range tokens[e.TokenStart:e.TokenEnd] {
+				words = append(words, tok.Text)
+			}
+			if want := strings.Join(words, " "); e.Text != want {
+				t.Fatalf("entity text %q, want its tokens joined: %q", e.Text, want)
 			}
 		}
 	})

@@ -49,18 +49,28 @@ func NewRecognizer(opts ...Option) *Recognizer {
 // Recognize scans tokens left to right and returns the non-overlapping
 // entities found, in token order. At each position the highest-priority,
 // longest match wins; numeric patterns outrank gazetteer lookups so that
-// "$5 million" is CURRENCY rather than a CNT followed by words.
+// "$5 million" is CURRENCY rather than a CNT followed by words. Without
+// the source text, every multi-token entity's text is joined afresh.
 func (r *Recognizer) Recognize(tokens []textproc.Token) []Entity {
-	return r.RecognizeLowered(tokens, textproc.Lowered(tokens))
+	return r.AppendEntities(nil, "", tokens, textproc.Lowered(tokens))
 }
 
 // RecognizeLowered is Recognize for a caller that has already
 // lower-cased every token, as textproc.Lowered does: lowered[i] must be
-// strings.ToLower(tokens[i].Text). The annotator lower-cases each
-// snippet's tokens once and shares the slice with the part-of-speech
-// tagger.
+// strings.ToLower(tokens[i].Text).
 func (r *Recognizer) RecognizeLowered(tokens []textproc.Token, lowered []string) []Entity {
-	var out []Entity
+	return r.AppendEntities(nil, "", tokens, lowered)
+}
+
+// AppendEntities appends the entities Recognize finds in tokens to dst
+// and returns the extended slice, so a caller that reuses one buffer
+// recognizes without allocating for it. lowered[i] must be
+// strings.ToLower(tokens[i].Text). text is the source the tokens were
+// cut from, or "": an entity whose tokens are separated by single
+// spaces there takes its Text as a slice of text instead of a joined
+// copy. The annotator lower-cases each snippet's tokens once and shares
+// them with the part-of-speech tagger.
+func (r *Recognizer) AppendEntities(dst []Entity, text string, tokens []textproc.Token, lowered []string) []Entity {
 	i := 0
 	for i < len(tokens) {
 		cat, span := r.matchAt(tokens, lowered, i)
@@ -70,23 +80,24 @@ func (r *Recognizer) RecognizeLowered(tokens []textproc.Token, lowered []string)
 		}
 		e := Entity{
 			Category:   cat,
-			Text:       joinTokens(tokens, i, i+span),
+			Text:       entityText(text, tokens[i:i+span]),
 			TokenStart: i,
 			TokenEnd:   i + span,
 			Start:      tokens[i].Start,
 			End:        tokens[i+span-1].End,
 		}
 		if !r.dropped(e) {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 		i += span
 	}
-	return out
+	return dst
 }
 
 // RecognizeText tokenizes and recognizes in one call.
 func (r *Recognizer) RecognizeText(text string) []Entity {
-	return r.Recognize(textproc.Tokenize(text))
+	tokens := textproc.Tokenize(text)
+	return r.AppendEntities(nil, text, tokens, textproc.Lowered(tokens))
 }
 
 // dropped implements deterministic error injection.

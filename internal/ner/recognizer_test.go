@@ -256,3 +256,28 @@ func BenchmarkRecognize(b *testing.B) {
 		r.Recognize(toks)
 	}
 }
+
+// TestAppendEntitiesSlicesSpacedText checks that a warmed AppendEntities
+// into a reused buffer allocates nothing when every multi-token entity
+// sits in the text one space apart: each entity's text is a slice of
+// the source, not a joined copy.
+func TestAppendEntitiesSlicesSpacedText(t *testing.T) {
+	r := NewRecognizer()
+	const text = "Acme Holdings Ltd named Mary Smith chief executive officer in New York"
+	tokens := textproc.Tokenize(text)
+	lowered := textproc.Lowered(tokens)
+	buf := r.AppendEntities(nil, text, tokens, lowered)
+	if len(buf) < 3 {
+		t.Fatalf("found %d entities in %q, want at least 3: %+v", len(buf), text, buf)
+	}
+	for _, e := range buf {
+		if e.Text != text[e.Start:e.End] {
+			t.Errorf("entity text %q, want the source span %q", e.Text, text[e.Start:e.End])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = r.AppendEntities(buf[:0], text, tokens, lowered)
+	}); allocs != 0 {
+		t.Errorf("a warmed AppendEntities allocated %v times, want 0", allocs)
+	}
+}

@@ -63,22 +63,42 @@ type Entity struct {
 // Span returns the number of tokens the entity covers.
 func (e Entity) Span() int { return e.TokenEnd - e.TokenStart }
 
-// joinTokens renders the surface text of tokens[start:end] with single
-// spaces, which is how multi-token gazetteer phrases are stored.
-func joinTokens(tokens []textproc.Token, start, end int) string {
-	if end-start == 1 {
-		return tokens[start].Text
+// entityText renders the surface text of tokens with single spaces,
+// which is how multi-token gazetteer phrases are stored: a slice of
+// text when the tokens sit there one space apart, a new string
+// otherwise.
+func entityText(text string, tokens []textproc.Token) string {
+	if len(tokens) == 1 {
+		return tokens[0].Text
+	}
+	if spacedIn(text, tokens) {
+		return text[tokens[0].Start:tokens[len(tokens)-1].End]
 	}
 	n := 0
-	for i := start; i < end; i++ {
-		n += len(tokens[i].Text) + 1
+	for _, t := range tokens {
+		n += len(t.Text) + 1
 	}
 	b := make([]byte, 0, n)
-	for i := start; i < end; i++ {
-		if i > start {
+	for i, t := range tokens {
+		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, tokens[i].Text...)
+		b = append(b, t.Text...)
 	}
 	return string(b)
+}
+
+// spacedIn reports whether every token is text[Start:End] and each
+// starts one space after the previous one ends, so that the span from
+// the first to the last is their single-space join.
+func spacedIn(text string, tokens []textproc.Token) bool {
+	for i, t := range tokens {
+		if t.Start < 0 || t.Start > t.End || t.End > len(text) || text[t.Start:t.End] != t.Text {
+			return false
+		}
+		if i > 0 && (t.Start != tokens[i-1].End+1 || text[t.Start-1] != ' ') {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package pos
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 
@@ -44,9 +45,17 @@ func TagTokens(tokens []textproc.Token) []TaggedToken {
 // order, so the annotator neither copies tokens nor lower-cases them
 // again.
 func Tags(tokens []textproc.Token, lowered []string) []Tag {
-	tags := make([]Tag, len(tokens))
-	tagInto(tokens, lowered, tags)
-	return tags
+	return AppendTags(nil, tokens, lowered)
+}
+
+// AppendTags appends the tags Tags returns to dst and returns the
+// extended slice, so a caller that reuses one buffer tags without
+// allocating.
+func AppendTags(dst []Tag, tokens []textproc.Token, lowered []string) []Tag {
+	n := len(dst)
+	dst = slices.Grow(dst, len(tokens))[:n+len(tokens)]
+	tagInto(tokens, lowered, dst[n:])
+	return dst
 }
 
 // tagInto writes the tag of tokens[i] to tags[i].

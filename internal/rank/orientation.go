@@ -2,7 +2,6 @@ package rank
 
 import (
 	"sort"
-	"strings"
 
 	"etap/internal/textproc"
 )
@@ -42,9 +41,18 @@ const maxPhraseLen = 3
 // weights of matched phrases, longest match first (so "sharp decline"
 // consumes both words and the weak "decline" entry does not double
 // count). Matching is on lower-cased words with stemmed fallback for
-// single words.
+// single words. The words go into pooled scratch, and each candidate
+// phrase is built in a stack buffer rather than joined.
 func (lx Lexicon) Score(text string) float64 {
-	words := textproc.Words(text)
+	sc := textproc.GetScratch()
+	defer sc.Release()
+	for _, t := range sc.Tokenize(text) {
+		if t.Kind == textproc.KindWord {
+			sc.Words = append(sc.Words, textproc.Lower(t.Text))
+		}
+	}
+	words := sc.Words
+	var buf [64]byte
 	score := 0.0
 	for i := 0; i < len(words); {
 		matched := 0
@@ -52,8 +60,11 @@ func (lx Lexicon) Score(text string) float64 {
 			if i+n > len(words) {
 				continue
 			}
-			phrase := strings.Join(words[i:i+n], " ")
-			if w, ok := lx[phrase]; ok {
+			phrase := append(buf[:0], words[i]...)
+			for _, w := range words[i+1 : i+n] {
+				phrase = append(append(phrase, ' '), w...)
+			}
+			if w, ok := lx[string(phrase)]; ok {
 				score += w
 				matched = n
 				break

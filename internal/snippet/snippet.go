@@ -39,7 +39,10 @@ type Generator struct {
 
 // Split chunks the document text into snippets. A trailing window shorter
 // than N sentences is still emitted (documents rarely divide evenly), so
-// every sentence belongs to at least one snippet.
+// every sentence belongs to at least one snippet. A snippet whose
+// sentences are separated by single spaces in text, as generated and
+// extracted documents are, takes its Text as a slice of text; only
+// other snippets are joined into a string of their own.
 func (g Generator) Split(docID, text string) []Snippet {
 	n := g.N
 	if n <= 0 {
@@ -66,7 +69,7 @@ func (g Generator) Split(docID, text string) []Snippet {
 			ID:       docID + "#" + strconv.Itoa(index),
 			DocID:    docID,
 			Index:    index,
-			Text:     joinSentences(sentences[from:to]),
+			Text:     sentenceText(text, sentences[from:to]),
 			SentFrom: from,
 			SentTo:   to,
 			Start:    sentences[from].Start,
@@ -80,9 +83,23 @@ func (g Generator) Split(docID, text string) []Snippet {
 	return out
 }
 
-func joinSentences(ss []textproc.Sentence) string {
+// sentenceText returns ss joined with single spaces: a slice of text
+// when each sentence is text[Start:End] and the next starts one space
+// after it ends, a new string otherwise.
+func sentenceText(text string, ss []textproc.Sentence) string {
 	if len(ss) == 1 {
 		return ss[0].Text
+	}
+	sliced := true
+	for i, s := range ss {
+		if text[s.Start:s.End] != s.Text ||
+			i > 0 && (s.Start != ss[i-1].End+1 || text[ss[i-1].End] != ' ') {
+			sliced = false
+			break
+		}
+	}
+	if sliced {
+		return text[ss[0].Start:ss[len(ss)-1].End]
 	}
 	n := 0
 	for _, s := range ss {

@@ -148,7 +148,8 @@ func Lowered(tokens []Token) []string {
 // Scratch holds reusable buffers for one text at a time: its tokens
 // and a string per token or per word, so that a caller tokenizing many
 // texts allocates nothing once the buffers have grown. Get one with
-// GetScratch and return it with Release.
+// GetScratch and return it with Release, or keep a zero Scratch inside
+// pooled state of one's own and empty it with Reset.
 type Scratch struct {
 	// Tokens holds the tokens Tokenize wrote.
 	Tokens []Token
@@ -185,13 +186,19 @@ func (s *Scratch) Lowered() []string {
 }
 
 // Release empties s and returns it to the pool; s must not be used
-// afterwards. Tokens alias the text they came from, so every buffer is
-// cleared first: a pooled Scratch keeps no document reachable.
+// afterwards.
 func (s *Scratch) Release() {
+	s.Reset()
+	scratchPool.Put(s)
+}
+
+// Reset empties s and keeps its buffers. Tokens alias the text they
+// came from, so every buffer is cleared: an emptied Scratch keeps no
+// document reachable.
+func (s *Scratch) Reset() {
 	clear(s.Tokens)
 	clear(s.Words)
 	s.Tokens, s.Words = s.Tokens[:0], s.Words[:0]
-	scratchPool.Put(s)
 }
 
 // Words returns the lower-cased word tokens of text, dropping punctuation,
