@@ -59,11 +59,12 @@ race-reads:
 	$(GO) test -race -count=20 -run 'TestSnapshotsUnderConcurrentWrites|TestLeadReadsConcurrentWithWrites' ./internal/store ./internal/serve
 
 # Segment-index reads decode postings into pooled scratch while
-# writers append to memtables and flushes and merges swap parts, so the
-# tests that interleave them run 10 times under the race detector
-# (about 40 s on 2 vCPUs).
+# writers append to memtables and flushes and merges swap parts, and a
+# bulk load appends lane by lane while both engines serve searches and
+# Has, so the tests that interleave them run 10 times under the race
+# detector (about 45 s on 2 vCPUs).
 race-index:
-	$(GO) test -race -count=10 -run 'TestSegmentConcurrentIngestSearchMerge|TestScratchConcurrentReaders|TestMemtableConcurrentReaders' ./internal/index
+	$(GO) test -race -count=10 -run 'TestSegmentConcurrentIngestSearchMerge|TestScratchConcurrentReaders|TestMemtableConcurrentReaders|TestBulkLoadConcurrentSearch' ./internal/index
 
 # Batch and streaming extraction score snippets in pooled per-worker
 # scratch and share the batch stash, so the tests that run them

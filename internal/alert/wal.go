@@ -116,6 +116,7 @@ type walMetrics struct {
 	replayed   *obs.Counter
 	torn       *obs.Counter
 	commits    *obs.Counter
+	lost       *obs.Counter
 	removed    *obs.Counter
 	floorGauge *obs.Gauge
 }
@@ -141,6 +142,8 @@ func newWALMetrics(reg *obs.Registry) *walMetrics {
 			"Torn tail frames truncated during recovery."),
 		commits: reg.Counter("etap_alert_wal_commit_flushes_total",
 			"Committed-offset sidecar flushes."),
+		lost: reg.Counter("etap_alert_wal_commit_unreadable_total",
+			"Committed-offset sidecars that could not be decoded at open and were treated as missing."),
 		removed: reg.Counter("etap_alert_wal_segments_removed_total",
 			"Fully-committed segments deleted by log GC."),
 		floorGauge: reg.Gauge("etap_alert_wal_committed_floor",
@@ -584,13 +587,9 @@ func (w *WAL) Commit(p int, seq uint64) {
 // segments every partition has moved past.
 func (w *WAL) FlushCommits() error {
 	w.cmu.Lock()
-	state := walCommitState{Partitions: w.partitions, Offsets: make(map[string]uint64, len(w.offsets))}
-	for p, off := range w.offsets {
-		state.Offsets[strconv.Itoa(p)] = off
-	}
+	data, err := encodeCommitState(w.partitions, w.offsets)
 	floor := walFloor(w.offsets, w.partitions)
 	w.cmu.Unlock()
-	data, err := json.Marshal(state)
 	if err != nil {
 		return fmt.Errorf("alert: wal commit encode: %w", err)
 	}
@@ -608,7 +607,11 @@ func (w *WAL) FlushCommits() error {
 	return nil
 }
 
-// loadCommits reads the sidecar; a missing file is a fresh log.
+// loadCommits reads the sidecar; a missing file is a fresh log. A
+// sidecar that does not decode (empty or truncated by a crash, or
+// damaged) is derived state and is treated as missing, with a warning
+// and a count on etap_alert_wal_commit_unreadable_total: everything
+// retained replays and fingerprint dedup absorbs the repeats.
 func (w *WAL) loadCommits() error {
 	data, err := os.ReadFile(filepath.Join(w.cfg.Dir, walCommitName))
 	if os.IsNotExist(err) {
@@ -617,24 +620,53 @@ func (w *WAL) loadCommits() error {
 	if err != nil {
 		return fmt.Errorf("alert: wal commit read: %w", err)
 	}
+	partitions, offsets, err := decodeCommitState(data)
+	if err != nil {
+		w.met.lost.Inc()
+		w.cfg.Log.Warn("alert: wal commit sidecar unreadable, replaying everything retained",
+			"file", walCommitName, "bytes", len(data), "err", err)
+		return nil
+	}
+	w.partitions, w.offsets = partitions, offsets
+	return nil
+}
+
+// encodeCommitState renders the sidecar's JSON for partitions and
+// offsets (keyed by partition index).
+func encodeCommitState(partitions int, offsets map[int]uint64) ([]byte, error) {
+	state := walCommitState{Partitions: partitions, Offsets: make(map[string]uint64, len(offsets))}
+	for p, off := range offsets {
+		state.Offsets[strconv.Itoa(p)] = off
+	}
+	return json.Marshal(state)
+}
+
+// decodeCommitState parses a sidecar. It fails unless data is a state
+// encodeCommitState could have written: well-formed JSON with a
+// partition count of at least 0 and every offset keyed by the decimal
+// form of a partition in [0, partitions).
+func decodeCommitState(data []byte) (partitions int, offsets map[int]uint64, err error) {
 	var state walCommitState
 	if err := json.Unmarshal(data, &state); err != nil {
-		return fmt.Errorf("alert: wal commit decode: %w", err)
+		return 0, nil, err
 	}
-	w.partitions = state.Partitions
+	if state.Partitions < 0 {
+		return 0, nil, fmt.Errorf("partition count %d", state.Partitions)
+	}
 	keys := make([]string, 0, len(state.Offsets))
 	for key := range state.Offsets {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
+	offsets = make(map[int]uint64, len(keys))
 	for _, key := range keys {
 		p, err := strconv.Atoi(key)
-		if err != nil {
-			return fmt.Errorf("alert: wal commit partition key %q: %w", key, err)
+		if err != nil || p < 0 || p >= state.Partitions || strconv.Itoa(p) != key {
+			return 0, nil, fmt.Errorf("partition key %q with %d partitions", key, state.Partitions)
 		}
-		w.offsets[p] = state.Offsets[key]
+		offsets[p] = state.Offsets[key]
 	}
-	return nil
+	return state.Partitions, offsets, nil
 }
 
 // gc deletes segments whose every record is at or below floor — proven

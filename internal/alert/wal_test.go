@@ -1,13 +1,16 @@
 package alert
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -497,4 +500,85 @@ func newestSegment(t *testing.T, dir string) string {
 	}
 	t.Fatalf("all segments empty in %s", dir)
 	return ""
+}
+
+// TestWALUnreadableCommitStateReplaysEverything writes sidecars a crash
+// or a damaged disk can leave behind — empty, truncated, not JSON, an
+// offset keyed outside the partitions — and checks that each opens as
+// a lost sidecar: everything retained replays, and the loss is counted.
+func TestWALUnreadableCommitStateReplaysEverything(t *testing.T) {
+	for name, content := range map[string]string{
+		"empty":     "",
+		"truncated": `{"partitions":1,"offsets":{"0":`,
+		"garbage":   "\x00\x01not json",
+		"bad-key":   `{"partitions":1,"offsets":{"3":2}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := testWAL(t, WALConfig{Dir: dir})
+			w.SetPartitions(1)
+			for i := 0; i < 3; i++ {
+				walAppendSync(t, w, WALRecord{URL: fmt.Sprintf("u%d", i), Text: "t", At: int64(i)})
+			}
+			w.Commit(0, 3)
+			if err := w.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, walCommitName), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			reopened := testWAL(t, WALConfig{Dir: dir, Registry: reg})
+			defer reopened.Close()
+			if got := collectReplay(t, reopened); len(got) != 3 {
+				t.Errorf("replay over an unreadable sidecar returned %d records, want all 3", len(got))
+			}
+			if n := snapCounter(t, reg.Snapshot(), "etap_alert_wal_commit_unreadable_total"); n != 1 {
+				t.Errorf("etap_alert_wal_commit_unreadable_total = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// FuzzWALCommitState feeds arbitrary bytes to the sidecar decoder. It
+// must never panic and must allocate no more than a bound linear in the
+// input; an input it accepts decodes to partitions in [0, partitions)
+// and re-encodes to bytes that decode to the same state and encode to
+// themselves, and any other input is a lost sidecar.
+func FuzzWALCommitState(f *testing.F) {
+	f.Add([]byte(`{"partitions":2,"offsets":{"0":7,"1":4}}`))
+	f.Add([]byte(`{"partitions":0,"offsets":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			parts int
+			offs  map[int]uint64
+			err   error
+		)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parts, offs, err = decodeCommitState(data)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8192+128*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		for p := range offs {
+			if p < 0 || p >= parts {
+				t.Fatalf("accepted partition %d of %d", p, parts)
+			}
+		}
+		enc, err := encodeCommitState(parts, offs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, o2, err := decodeCommitState(enc)
+		if err != nil || p2 != parts || !maps.Equal(o2, offs) {
+			t.Fatalf("%q re-encodes to %q, which decodes to %d %v (%v)", data, enc, p2, o2, err)
+		}
+		if enc2, _ := encodeCommitState(p2, o2); !bytes.Equal(enc2, enc) {
+			t.Fatalf("%q does not encode to itself: %q", enc, enc2)
+		}
+	})
 }

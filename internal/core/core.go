@@ -14,8 +14,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"etap/internal/annotate"
@@ -179,11 +180,14 @@ type TrainingStats struct {
 	VocabularySize int
 }
 
-// trainedDriver bundles a driver with its trained classifier.
+// trainedDriver bundles a driver with its trained classifier. vocab
+// names the classifier's features, for snapshots; proj maps the
+// system's feature table onto it, for scoring.
 type trainedDriver struct {
 	spec   SalesDriver
 	clf    classify.Classifier
 	vocab  *feature.Vocab
+	proj   feature.Projection
 	policy feature.Policy
 	stats  TrainingStats
 }
@@ -197,13 +201,22 @@ type System struct {
 	met *pipelineMetrics // nil when Config.DisableMetrics
 
 	// drivers is add-only: AddDriver and ImportDriver reject a
-	// duplicate ID, which keeps stash entries current.
+	// duplicate ID, which keeps stash entries current. Each of them
+	// rebuilds the scorer every extraction and Score call uses.
 	drivers map[string]*trainedDriver
+	sc      atomic.Pointer[scorer]
 	stash   batchStash
-	// negatives are shared across drivers ("The same set of negative
-	// class snippets can be used across different sales-driver
-	// categories").
-	negatives []train.Snippet
+	// table gives every feature a driver was trained or imported with
+	// an id; only AddDriver and ImportDriver grow it.
+	table *feature.Table
+	// The negatives are shared across drivers ("The same set of
+	// negative class snippets can be used across different
+	// sales-driver categories"): negTexts holds the sampled snippets,
+	// sampled by the first AddDriver, and negIDs their features under
+	// the system's policy, abstracted once. Without a fixed policy
+	// (AutoPolicy) each AddDriver annotates negTexts afresh.
+	negTexts []string
+	negIDs   [][]int32
 }
 
 // New builds a system over w.
@@ -220,10 +233,12 @@ func New(w *web.Web, cfg Config) *System {
 		rec:     rec,
 		cfg:     cfg,
 		drivers: make(map[string]*trainedDriver),
+		table:   feature.NewTable(),
 	}
 	if !cfg.DisableMetrics {
 		sys.met = newPipelineMetrics(cfg.Metrics)
 	}
+	sys.rebuildScorer()
 	return sys
 }
 
@@ -291,8 +306,14 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 	if len(noisy) == 0 && len(purePositives) == 0 {
 		return TrainingStats{}, ErrNoTrainingData
 	}
-	if s.negatives == nil {
-		s.negatives = train.Negatives(s.web, s.ann, s.cfg.NegativeCount, s.cfg.SnippetN, s.cfg.Seed)
+	var negUnits [][]annotate.Unit // the negatives' annotation, when this call made one
+	if s.negTexts == nil {
+		negs := train.Negatives(s.web, s.ann, s.cfg.NegativeCount, s.cfg.SnippetN, s.cfg.Seed)
+		s.negTexts = make([]string, len(negs))
+		negUnits = make([][]annotate.Unit, len(negs))
+		for i, n := range negs {
+			s.negTexts[i], negUnits[i] = n.Text, n.Units
+		}
 	}
 
 	pureUnits := make([][]annotate.Unit, len(purePositives))
@@ -300,60 +321,73 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 		pureUnits[i] = s.ann.Annotate(t)
 	}
 
-	// Abstraction policy: fixed, default, or RIG-derived.
+	// Abstraction policy: fixed, default, or RIG-derived. A derived
+	// policy differs per driver, so the negatives' kept features do not
+	// serve it: their text is annotated again.
 	policy := s.cfg.Policy
-	if policy == nil {
-		if s.cfg.AutoPolicy {
-			var labeled []feature.Labeled
-			for _, u := range pureUnits {
-				labeled = append(labeled, feature.Labeled{Units: u, Label: true})
-			}
-			for _, n := range s.negatives {
-				labeled = append(labeled, feature.Labeled{Units: n.Units, Label: false})
-			}
-			policy = feature.ChoosePolicy(labeled, feature.AllCategories())
-		} else {
-			policy = feature.DefaultPolicy()
+	auto := policy == nil && s.cfg.AutoPolicy
+	switch {
+	case auto:
+		if negUnits == nil {
+			negUnits = make([][]annotate.Unit, len(s.negTexts))
+			par.For(0, len(negUnits), func(i int) { negUnits[i] = s.ann.Annotate(s.negTexts[i]) })
 		}
+		var labeled []feature.Labeled
+		for _, u := range pureUnits {
+			labeled = append(labeled, feature.Labeled{Units: u, Label: true})
+		}
+		for _, u := range negUnits {
+			labeled = append(labeled, feature.Labeled{Units: u, Label: false})
+		}
+		policy = feature.ChoosePolicy(labeled, feature.AllCategories())
+	case policy == nil:
+		policy = feature.DefaultPolicy()
 	}
 
-	// Extract feature lists once, on every core; apply classical feature
-	// selection (Section 3.2.1) computed on the training data.
-	units := make([][]annotate.Unit, 0, len(pureUnits)+len(noisy)+len(s.negatives))
-	units = append(units, pureUnits...)
+	// Abstract every training snippet to feature-table ids, in order,
+	// growing the table; the negatives keep theirs for the next driver.
+	// Then apply classical feature selection (Section 3.2.1) computed
+	// on the training data.
+	intern := func(units [][]annotate.Unit) [][]int32 {
+		lists := make([][]int32, len(units))
+		for i, u := range units {
+			lists[i] = s.table.AppendInterned(nil, u, policy)
+		}
+		return lists
+	}
+	negIDs := s.negIDs
+	if auto || negIDs == nil {
+		negIDs = intern(negUnits)
+		if !auto {
+			s.negIDs = negIDs
+		}
+	}
+	lists := intern(pureUnits)
 	for _, n := range noisy {
-		units = append(units, n.Units)
+		lists = append(lists, s.table.AppendInterned(nil, n.Units, policy))
 	}
-	for _, n := range s.negatives {
-		units = append(units, n.Units)
-	}
-	featLists := make([][]string, len(units))
-	par.For(0, len(units), func(i int) { featLists[i] = feature.Extract(units[i], policy) })
-	labels := make([]bool, len(units))
+	lists = append(lists, negIDs...)
+	labels := make([]bool, len(lists))
 	for i := range labels {
 		labels[i] = i < len(pureUnits)+len(noisy)
 	}
 
-	vocab := feature.NewVocab()
+	var vocab *feature.Vocab
 	if s.cfg.FeatureTopK > 0 {
-		keep := feature.TopK(featLists, labels, s.cfg.FeatureMeasure, s.cfg.FeatureTopK)
-		// Intern exactly the selected features; Vectorize(grow=false)
-		// then drops everything else, at training and inference alike.
-		for _, f := range sortedKeys(keep) {
-			vocab.ID(f)
-		}
+		// Only the selected features are in the vocabulary, interned in
+		// name order; vectorization drops everything else, at training
+		// and inference alike.
+		vocab = feature.VocabFromNames(s.table.TopK(lists, labels, s.cfg.FeatureMeasure, s.cfg.FeatureTopK))
 	} else {
-		for _, fl := range featLists {
-			for _, f := range fl {
-				vocab.ID(f)
-			}
-		}
+		vocab = s.table.Vocab(lists)
 	}
+	proj := s.table.Project(vocab)
 
 	nPure := len(pureUnits)
 	var pureVecs, noisyVecs, negVecs []feature.Vector
-	for i, fl := range featLists {
-		v := feature.Vectorize(vocab, fl, false)
+	var buf []int
+	for i, ids := range lists {
+		v := proj.AppendVector(nil, &buf, ids)
 		switch {
 		case i < nPure:
 			pureVecs = append(pureVecs, v)
@@ -393,7 +427,7 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 		Generation:     genStats,
 		NoisyPositives: len(noisy),
 		PurePositives:  len(purePositives),
-		Negatives:      len(s.negatives),
+		Negatives:      len(s.negTexts),
 		NoiseHistory:   history,
 		VocabularySize: vocab.Size(),
 	}
@@ -401,9 +435,11 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 		spec:   d,
 		clf:    clf,
 		vocab:  vocab,
+		proj:   proj,
 		policy: policy,
 		stats:  stats,
 	}
+	s.rebuildScorer()
 	if s.met != nil {
 		s.met.trainDur.Observe(time.Since(trainStart).Seconds())
 	}
@@ -432,15 +468,19 @@ func (s *System) trainer() noise.Trainer {
 }
 
 // Score returns the positive-class probability of one snippet text for a
-// driver.
+// driver, through the scoring kernel's path.
 func (s *System) Score(driverID, text string) (float64, error) {
-	td, ok := s.drivers[driverID]
-	if !ok {
+	sc := s.scorer()
+	d := slices.IndexFunc(sc.drivers, func(td *trainedDriver) bool { return td.spec.ID == driverID })
+	if d < 0 {
 		return 0, ErrUnknownDriver
 	}
-	units := s.ann.Annotate(text)
-	x := feature.Vectorize(td.vocab, feature.Extract(units, td.policy), false)
-	return td.clf.Prob(x), nil
+	w := getScratch(sc)
+	defer w.release()
+	w.units = s.ann.AppendUnits(w.units[:0], text)
+	k := sc.policyOf[d]
+	w.feats[k] = s.table.AppendIDs(w.feats[k][:0], w.units, sc.policies[k])
+	return sc.prob(w, d), nil
 }
 
 // ExtractEvents runs the event identification component over pages: each
@@ -471,7 +511,7 @@ func (s *System) ExtractAllEvents(pages []*web.Page, threshold float64) []rank.E
 // events come out driver-major exactly as one ExtractEvents call per
 // driver would return them.
 func (s *System) ExtractAllEventsTraced(ctx context.Context, pages []*web.Page, threshold float64) []rank.Event {
-	sc := s.newScorer()
+	sc := s.scorer()
 	if len(sc.drivers) == 0 {
 		return nil
 	}
@@ -517,15 +557,4 @@ func (s *System) Policy(driverID string) (feature.Policy, error) {
 		return nil, ErrUnknownDriver
 	}
 	return td.policy, nil
-}
-
-// sortedKeys returns the map's keys in sorted order, for deterministic
-// vocabulary ids.
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

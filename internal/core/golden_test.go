@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"etap/internal/annotate"
 	"etap/internal/corpus"
 	"etap/internal/feature"
 	"etap/internal/rank"
@@ -71,7 +72,7 @@ func TestAnnotationGoldenDigests(t *testing.T) {
 			check("Tokenize", got.tokens, want.tokens)
 			check("snippet.Split", got.split, want.split)
 			check("Annotate", got.units, want.units)
-			check("feature.Extract", got.features, want.features)
+			check("feature ids, named", got.features, want.features)
 			check("Vectorize", got.vectors, want.vectors)
 			check("ExtractEventsParallel", got.events, want.events)
 			check("ExtractEventsParallel, drivers asked in reverse", got.reverse, want.events)
@@ -117,6 +118,17 @@ func annotationDigests(t *testing.T, seed int64) goldenResult {
 	units, features, vectors := newDigest(), newDigest(), newDigest()
 	def, bow := feature.DefaultPolicy(), feature.BagOfWordsPolicy()
 	grown := feature.NewVocab()
+	// names abstracts through a table of its own, which it grows, and
+	// renders the ids as the feature names the digests were taken over.
+	tab := feature.NewTable()
+	names := func(us []annotate.Unit, p feature.Policy) []string {
+		var out []string
+		for _, id := range tab.AppendInterned(nil, us, p) {
+			out = append(out, tab.Name(id))
+		}
+		return out
+	}
+	var buf []int
 	res := goldenResult{pages: len(docs)}
 	var pages []*web.Page
 	for _, d := range docs {
@@ -144,11 +156,11 @@ func annotationDigests(t *testing.T, seed int64) goldenResult {
 				units.str(u.Text).str(string(u.Entity)).str(string(u.POS))
 			}
 			units.int(-1)
-			features.strs(feature.Extract(us, def)).strs(feature.Extract(us, bow))
-			vectors.vector(feature.Vectorize(grown, feature.Extract(us, bow), true))
+			features.strs(names(us, def)).strs(names(us, bow))
+			vectors.vector(feature.Vectorize(grown, names(us, bow), true))
 			for _, id := range ids {
 				td := sys.drivers[id]
-				vectors.vector(feature.Vectorize(td.vocab, feature.Extract(us, td.policy), false))
+				vectors.vector(td.proj.AppendVector(nil, &buf, sys.table.AppendIDs(nil, us, td.policy)))
 			}
 		}
 		split.int(-1)

@@ -12,20 +12,26 @@ import (
 	"etap/internal/ner"
 	"etap/internal/rank"
 	"etap/internal/snippet"
+	"etap/internal/textproc"
 	"etap/internal/web"
 )
 
 // scorer is the trained drivers in sorted-ID order with their distinct
 // abstraction policies: drivers that share a policy share the feature
-// lists it abstracts, so a snippet is abstracted once per policy, not
-// once per driver.
+// ids it abstracts, so a snippet is abstracted once per policy, not
+// once per driver. AddDriver and ImportDriver rebuild it; extraction
+// and Score only read it.
 type scorer struct {
 	drivers  []*trainedDriver
 	policies []feature.Policy
 	policyOf []int // drivers[d] abstracts with policies[policyOf[d]]
 }
 
-func (s *System) newScorer() *scorer {
+// scorer returns the scorer of the drivers trained so far.
+func (s *System) scorer() *scorer { return s.sc.Load() }
+
+// rebuildScorer replaces the scorer after the driver set changed.
+func (s *System) rebuildScorer() {
 	ids := s.Drivers()
 	sort.Strings(ids)
 	sc := &scorer{}
@@ -39,17 +45,27 @@ func (s *System) newScorer() *scorer {
 		sc.drivers = append(sc.drivers, td)
 		sc.policyOf = append(sc.policyOf, k)
 	}
-	return sc
+	s.sc.Store(sc)
+}
+
+// prob classifies the snippet abstracted in w for driver d.
+func (sc *scorer) prob(w *scratch, d int) float64 {
+	td := sc.drivers[d]
+	w.vec = td.proj.AppendVector(w.vec[:0], &w.ids, w.feats[sc.policyOf[d]])
+	return td.clf.Prob(w.vec)
 }
 
 // scratch is one worker's memory for the scoring kernel, reused from
 // snippet to snippet and, through scratchPool, from page to page: one
-// snippet's units, its feature list under each policy, one driver's
-// vector, and the events scored since the scratch was taken.
+// page's sentences and snippets, one snippet's units, its feature ids
+// under each policy, one driver's vector, and the events scored since
+// the scratch was taken.
 type scratch struct {
+	sents  []textproc.Sentence
+	snips  []snippet.Snippet
 	units  []annotate.Unit
-	feats  [][]string // feats[k] is the snippet under policies[k]
-	ids    []int      // AppendVector's id buffer
+	feats  [][]int32 // feats[k] is the snippet under policies[k]
+	ids    []int     // AppendVector's vocabulary-id buffer
 	vec    feature.Vector
 	events []rank.Event // in (snippet, driver) order
 }
@@ -66,17 +82,17 @@ func getScratch(sc *scorer) *scratch {
 	return w
 }
 
-// release empties w and returns it to the pool. Units, features and
-// events hold strings that alias pages, so every slot up to each
-// buffer's capacity is cleared: a pooled scratch keeps no page
+// release empties w and returns it to the pool. Sentences, snippets,
+// units and events hold strings that alias pages, so every slot up to
+// each buffer's capacity is cleared: a pooled scratch keeps no page
 // reachable.
 func (w *scratch) release() {
+	clear(w.sents[:cap(w.sents)])
+	w.sents = w.sents[:0]
+	clear(w.snips[:cap(w.snips)])
+	w.snips = w.snips[:0]
 	clear(w.units[:cap(w.units)])
 	w.units = w.units[:0]
-	for k, f := range w.feats {
-		clear(f[:cap(f)])
-		w.feats[k] = f[:0]
-	}
 	clear(w.events[:cap(w.events)])
 	w.events = w.events[:0]
 	scratchPool.Put(w)
@@ -102,12 +118,12 @@ func (s *System) scorePage(sc *scorer, w *scratch, page *web.Page, threshold flo
 	if m != nil {
 		t = time.Now()
 	}
-	snips := snippet.Generator{N: s.cfg.SnippetN}.Split(page.URL, page.Text)
+	w.snips = snippet.Generator{N: s.cfg.SnippetN}.AppendSplit(w.snips[:0], &w.sents, page.URL, page.Text)
 	if m != nil {
 		m.snippetDur.Observe(time.Since(t).Seconds())
 	}
-	for i := range snips {
-		sn := &snips[i]
+	for i := range w.snips {
+		sn := &w.snips[i]
 		if m != nil {
 			t = time.Now()
 		}
@@ -118,7 +134,7 @@ func (s *System) scorePage(sc *scorer, w *scratch, page *web.Page, threshold flo
 			t = now
 		}
 		for k, p := range sc.policies {
-			w.feats[k] = feature.AppendFeatures(w.feats[k][:0], w.units, p)
+			w.feats[k] = s.table.AppendIDs(w.feats[k][:0], w.units, p)
 		}
 		var abstractShare time.Duration
 		if m != nil {
@@ -128,8 +144,7 @@ func (s *System) scorePage(sc *scorer, w *scratch, page *web.Page, threshold flo
 			if m != nil {
 				t = time.Now()
 			}
-			w.vec = feature.AppendVector(w.vec[:0], &w.ids, td.vocab, w.feats[sc.policyOf[d]], false)
-			p := td.clf.Prob(w.vec)
+			p := sc.prob(w, d)
 			if m != nil {
 				m.classifyDur.Observe((time.Since(t) + abstractShare).Seconds())
 				m.snippets.Inc()
@@ -141,7 +156,7 @@ func (s *System) scorePage(sc *scorer, w *scratch, page *web.Page, threshold flo
 				m.events.Inc()
 			}
 			ev := rank.Event{
-				SnippetID: sn.ID,
+				SnippetID: snippet.ID(page.URL, sn.Index),
 				Text:      sn.Text,
 				Driver:    td.spec.ID,
 				Score:     p,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"etap/internal/annotate"
 	"etap/internal/corpus"
 	"etap/internal/rank"
 	"etap/internal/web"
@@ -73,9 +74,9 @@ func TestBatchAndStreamingShareSystem(t *testing.T) {
 
 // TestWarmExtractAllEventsAllocs bounds what a warmed streaming
 // extraction of one page allocates, per event it returns. Annotation,
-// abstraction and scoring write into the kernel's pooled scratch, so
-// what remains is per page (the scorer, the snippets, their IDs), per
-// event (the result) and per instance-valued feature name.
+// abstraction and scoring write into the kernel's pooled scratch, and
+// the scorer is built once per driver set, so what remains is
+// annotation's few and per event (its snippet ID and the result).
 func TestWarmExtractAllEventsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
@@ -105,8 +106,9 @@ func TestWarmExtractAllEventsAllocs(t *testing.T) {
 
 // maxAllocsPerEvent bounds TestWarmExtractAllEventsAllocs. Before the
 // kernel wrote into pooled scratch, its page cost 152 allocations for 5
-// events (30 per event); with it, 72.
-const maxAllocsPerEvent = 20
+// events (30 per event); with it, 72; with feature ids, snippets split
+// into scratch and the scorer built once per driver set, 14.
+const maxAllocsPerEvent = 6
 
 // TestEventsShareTheirPageText checks that an extracted event's text is
 // a slice of its page's text, not a copy: generated pages separate
@@ -133,5 +135,168 @@ func TestEventsShareTheirPageText(t *testing.T) {
 		if at < base || at+uintptr(len(ev.Text)) > base+uintptr(len(text)) {
 			t.Fatalf("event %s holds a copy of its snippet's text", ev.SnippetID)
 		}
+	}
+}
+
+// TestWarmKernelAllocs takes pages through the scoring kernel with one
+// warmed scratch and a threshold no snippet reaches, so no event is
+// built: splitting, annotation, abstraction to feature ids and scoring
+// by every driver then allocate at most maxKernelAllocsPerSnippet times
+// per snippet. Feature names and snippet IDs are no longer built for
+// snippets that do not become events.
+func TestWarmKernelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	f := newFixture(t, 56, Config{Seed: 56, DisableMetrics: true})
+	for _, d := range corpus.Drivers {
+		f.addDriver(t, d, 10)
+	}
+	pages := f.batchPages(t, 40)
+	sc := f.sys.scorer()
+	w := getScratch(sc)
+	defer w.release()
+	snippets := 0
+	for _, p := range pages {
+		f.sys.scorePage(sc, w, p, 2)
+		snippets += len(w.snips)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, p := range pages {
+			f.sys.scorePage(sc, w, p, 2)
+		}
+	})
+	t.Logf("%v allocations for %d pages, %d snippets", allocs, len(pages), snippets)
+	if perSnippet := allocs / float64(snippets); perSnippet > maxKernelAllocsPerSnippet {
+		t.Errorf("a warmed kernel allocated %v times for %d snippets (%.2f per snippet), want at most %v",
+			allocs, snippets, perSnippet, maxKernelAllocsPerSnippet)
+	}
+}
+
+// maxKernelAllocsPerSnippet bounds TestWarmKernelAllocs. What is left
+// is annotation's: the text of an entity whose tokens are not spaced by
+// single blanks, and words normalized afresh after a word-table slot
+// was taken by another (1.7 per snippet over these pages). Building a
+// name per instance-valued feature and an ID per snippet cost more than
+// ten per snippet.
+const maxKernelAllocsPerSnippet = 2.0
+
+// TestTrainingKeepsNoUnits trains every default driver and walks all
+// that the System holds (its web aside: pages and their index hold no
+// annotations) for annotate.Unit values. Training keeps the shared
+// negatives as feature ids, so no annotation of a training snippet
+// stays reachable once AddDriver returns.
+func TestTrainingKeepsNoUnits(t *testing.T) {
+	f := newFixture(t, 58, Config{Seed: 58})
+	for _, d := range corpus.Drivers {
+		f.addDriver(t, d, 10)
+	}
+	if len(f.sys.negIDs) == 0 {
+		t.Fatal("training kept no negatives: the walk proves nothing")
+	}
+	w := unitWalk{seen: map[uintptr]bool{}, holds: map[reflect.Type]bool{}}
+	w.walk(reflect.ValueOf(f.sys).Elem())
+	if w.units > 0 {
+		t.Fatalf("%d annotate.Unit values reachable from a trained System", w.units)
+	}
+}
+
+// unitWalk counts the annotate.Unit values reachable from a value,
+// visiting each pointer once and skipping the web.
+type unitWalk struct {
+	seen  map[uintptr]bool
+	holds map[reflect.Type]bool // whether a type can reach a Unit
+	units int
+}
+
+var (
+	unitType = reflect.TypeOf(annotate.Unit{})
+	webType  = reflect.TypeOf(web.Web{})
+)
+
+// mayHold reports whether a value of type ty can reach a Unit, so the
+// walk skips float slices, strings and the like without visiting them.
+func (w *unitWalk) mayHold(ty reflect.Type) bool {
+	if h, ok := w.holds[ty]; ok {
+		return h
+	}
+	w.holds[ty] = false // a cycle through ty adds nothing
+	h := false
+	switch ty.Kind() {
+	case reflect.Interface:
+		h = true
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		h = ty.Elem() == unitType || w.mayHold(ty.Elem())
+	case reflect.Map:
+		h = w.mayHold(ty.Key()) || w.mayHold(ty.Elem())
+	case reflect.Struct:
+		h = ty == unitType
+		for i := 0; i < ty.NumField() && !h; i++ {
+			h = w.mayHold(ty.Field(i).Type)
+		}
+	}
+	w.holds[ty] = h
+	return h
+}
+
+func (w *unitWalk) walk(v reflect.Value) {
+	if !v.IsValid() || v.Type() == webType || !w.mayHold(v.Type()) {
+		return
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || w.seen[v.Pointer()] {
+			return
+		}
+		w.seen[v.Pointer()] = true
+		w.walk(v.Elem())
+	case reflect.Interface:
+		w.walk(v.Elem())
+	case reflect.Slice, reflect.Array:
+		if v.Type().Elem() == unitType {
+			w.units += v.Len()
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			w.walk(v.Index(i))
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			w.walk(it.Key())
+			w.walk(it.Value())
+		}
+	case reflect.Struct:
+		if v.Type() == unitType {
+			w.units++
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			w.walk(v.Field(i))
+		}
+	}
+}
+
+// TestScorerCachedPerDriverSet checks that batch extraction, streaming
+// extraction and Score all use the scorer the last AddDriver built,
+// rather than building one per call or per streamed document, and that
+// adding a driver replaces it.
+func TestScorerCachedPerDriverSet(t *testing.T) {
+	f := newFixture(t, 59, Config{Seed: 59})
+	f.addDriver(t, corpus.ChangeInManagement, 10)
+	sc := f.sys.scorer()
+	pages := f.batchPages(t, 20)
+	f.sys.ExtractAllEvents(pages[:1], 0.5)
+	if _, err := f.sys.ExtractEventsParallel(string(corpus.ChangeInManagement), pages, 0.5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.sys.Score(string(corpus.ChangeInManagement), "Acme named a new chief executive."); err != nil {
+		t.Fatal(err)
+	}
+	if f.sys.scorer() != sc {
+		t.Fatal("extraction or Score replaced the scorer")
+	}
+	f.addDriver(t, corpus.RevenueGrowth, 10)
+	if got := f.sys.scorer(); got == sc || len(got.drivers) != 2 {
+		t.Fatal("AddDriver did not rebuild the scorer for the new driver set")
 	}
 }

@@ -50,7 +50,7 @@ func (s *System) ExtractEventsParallel(driverID string, pages []*web.Page, thres
 	if m != nil {
 		m.queueDepth.Add(int64(len(pages)))
 	}
-	sc := s.newScorer()
+	sc := s.scorer()
 	perPage := make([][]rank.Event, len(pages)) // every driver's, in (snippet, driver) order
 	par.For(workers, len(pages), func(i int) {
 		if m != nil {

@@ -281,7 +281,7 @@ func TestSharedPassDistinctPolicies(t *testing.T) {
 	if err := f.sys.ImportDriver(m, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(f.sys.newScorer().policies); n != 2 {
+	if n := len(f.sys.scorer().policies); n != 2 {
 		t.Fatalf("scorer has %d distinct policies, want 2", n)
 	}
 	pages := f.batchPages(t, 120)
@@ -397,13 +397,38 @@ func TestExtractEventsParallelEmptyPages(t *testing.T) {
 
 // trainingRun is everything training produces that must not depend on
 // how many cores annotate the training data. TrainingStats carries the
-// vocabulary size.
+// vocabulary size; kept is what the System keeps once AddDriver
+// returns.
 type trainingRun struct {
 	noisy      []train.Snippet
 	noisyStats []train.Stats
 	negatives  []train.Snippet
 	stats      []TrainingStats
 	probs      []float64
+	kept       keptTraining
+}
+
+// keptTraining is what training leaves on a System: the shared
+// negatives' feature ids, the feature table's names in id order, and
+// each driver's vocabulary and projection, in sorted-ID order.
+type keptTraining struct {
+	negIDs [][]int32
+	table  []string
+	vocabs [][]string
+	projs  []feature.Projection
+}
+
+// kept reads what sys keeps of its training.
+func kept(sys *System) keptTraining {
+	k := keptTraining{negIDs: sys.negIDs}
+	for id := int32(0); id < int32(sys.table.Len()); id++ {
+		k.table = append(k.table, sys.table.Name(id))
+	}
+	for _, td := range sys.scorer().drivers {
+		k.vocabs = append(k.vocabs, td.vocab.Names())
+		k.projs = append(k.projs, td.proj)
+	}
+	return k
 }
 
 // trainAt runs the training-data steps on their own, then trains every
@@ -425,6 +450,7 @@ func trainAt(t *testing.T, procs int) trainingRun {
 		run.stats = append(run.stats, f.addDriver(t, d, 10))
 		probes = append(probes, corpus.NewGenerator(corpus.Config{Seed: 48}).PurePositives(d, 10)...)
 	}
+	run.kept = kept(f.sys)
 	for _, d := range corpus.Drivers {
 		for _, p := range probes {
 			prob, err := f.sys.Score(string(d), p.Text)
@@ -454,6 +480,10 @@ func TestTrainingIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	check("negative snippets and units", seq.negatives, par.negatives)
 	check("training stats", seq.stats, par.stats)
 	check("classifier probabilities", seq.probs, par.probs)
+	if len(seq.kept.negIDs) == 0 || len(seq.kept.table) == 0 {
+		t.Fatalf("training kept %d negatives and %d features", len(seq.kept.negIDs), len(seq.kept.table))
+	}
+	check("kept negatives, feature table, vocabularies and projections", seq.kept, par.kept)
 }
 
 func BenchmarkExtractEventsSequential(b *testing.B) {

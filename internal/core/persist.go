@@ -110,12 +110,15 @@ func (s *System) ImportDriver(m DriverModel, filter train.Filter) error {
 	if m.Orientation != nil {
 		spec.Orientation = rank.Lexicon(m.Orientation)
 	}
+	vocab := feature.VocabFromNames(m.Vocab)
 	s.drivers[m.ID] = &trainedDriver{
 		spec:   spec,
 		clf:    clf,
-		vocab:  feature.VocabFromNames(m.Vocab),
+		vocab:  vocab,
+		proj:   s.table.Project(vocab),
 		policy: feature.PolicyFromMap(m.Policy),
 	}
+	s.rebuildScorer()
 	return nil
 }
 

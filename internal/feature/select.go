@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -41,42 +42,40 @@ func (m SelectionMeasure) String() string {
 	}
 }
 
-// docSets converts feature-list examples into per-feature document
-// frequency counts split by label.
-func docSets(examples [][]string, labels []bool) (df map[string][2]float64, n [2]float64) {
-	df = make(map[string][2]float64)
-	seen := map[string]bool{} // one example's features, cleared for the next
-	for i, feats := range examples {
-		li := labelIndex(labels[i])
-		n[li]++
-		clear(seen)
-		for _, f := range feats {
-			if !seen[f] {
-				seen[f] = true
-				c := df[f]
-				c[li]++
-				df[f] = c
-			}
-		}
-	}
-	return df, n
-}
-
-// Rank scores every feature occurring in examples by the chosen measure
-// and returns them sorted by descending score. examples[i] holds the
-// feature list of snippet i and labels[i] its class.
-func Rank(examples [][]string, labels []bool, m SelectionMeasure) []Scored {
+// Rank scores every feature occurring in examples by the chosen
+// measure and returns them sorted by descending score, ties broken by
+// name. examples[i] holds the feature ids of snippet i and labels[i]
+// its class; a feature's score depends only on how many examples of
+// each label hold it.
+func (t *Table) Rank(examples [][]int32, labels []bool, m SelectionMeasure) []Scored {
 	if len(examples) != len(labels) {
 		panic("feature: examples and labels length mismatch")
 	}
-	df, n := docSets(examples, labels)
+	// df[id] counts the examples of each label holding feature id;
+	// last[id] is one more than the last example counted for it.
+	df := make([][2]float64, t.Len())
+	last := make([]int32, t.Len())
+	var n [2]float64
+	for i, ids := range examples {
+		li := labelIndex(labels[i])
+		n[li]++
+		for _, id := range ids {
+			if last[id] != int32(i+1) {
+				last[id] = int32(i + 1)
+				df[id][li]++
+			}
+		}
+	}
 	total := n[0] + n[1]
 	if total == 0 {
 		return nil
 	}
 
-	out := make([]Scored, 0, len(df))
-	for f, c := range df {
+	var out []Scored
+	for id, c := range df {
+		if c[0]+c[1] == 0 {
+			continue
+		}
 		// Contingency table:
 		//              y=neg        y=pos
 		// present      a=c[0]       b=c[1]
@@ -96,7 +95,7 @@ func Rank(examples [][]string, labels []bool, m SelectionMeasure) []Scored {
 			py := (n[1] + 1) / (total + 2)
 			score = math.Log2(pxy / (px * py))
 		}
-		out = append(out, Scored{Feature: f, Score: score})
+		out = append(out, Scored{Feature: t.Name(int32(id)), Score: score})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -107,30 +106,34 @@ func Rank(examples [][]string, labels []bool, m SelectionMeasure) []Scored {
 	return out
 }
 
-// TopK returns the names of the k best features under the measure ("only
-// the top few (an ad hoc tunable parameter in most experiments) features
-// are retained").
-func TopK(examples [][]string, labels []bool, m SelectionMeasure, k int) map[string]bool {
-	ranked := Rank(examples, labels, m)
-	if k > len(ranked) {
-		k = len(ranked)
+// TopK returns the names of the k best features of examples (table
+// ids) under the measure ("only the top few (an ad hoc tunable
+// parameter in most experiments) features are retained"), sorted: the
+// order a vocabulary interns them.
+func (t *Table) TopK(examples [][]int32, labels []bool, m SelectionMeasure, k int) []string {
+	ranked := t.Rank(examples, labels, m)
+	names := make([]string, min(k, len(ranked)))
+	for i := range names {
+		names[i] = ranked[i].Feature
 	}
-	out := make(map[string]bool, k)
-	for _, s := range ranked[:k] {
-		out[s.Feature] = true
-	}
-	return out
+	slices.Sort(names)
+	return names
 }
 
-// Filter keeps only the features present in keep.
-func Filter(feats []string, keep map[string]bool) []string {
-	out := make([]string, 0, len(feats))
-	for _, f := range feats {
-		if keep[f] {
-			out = append(out, f)
+// Vocab returns a vocabulary of every feature of examples (table ids),
+// in order of first appearance.
+func (t *Table) Vocab(examples [][]int32) *Vocab {
+	v := NewVocab()
+	seen := make([]bool, t.Len())
+	for _, ids := range examples {
+		for _, id := range ids {
+			if !seen[id] {
+				seen[id] = true
+				v.ID(t.Name(id))
+			}
 		}
 	}
-	return out
+	return v
 }
 
 func chi2(a, b, c, d float64) float64 {

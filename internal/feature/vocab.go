@@ -66,43 +66,42 @@ type Vector []Term
 // is true unknown features are added to the vocabulary; otherwise they
 // are silently skipped (the correct behaviour at inference time).
 func Vectorize(v *Vocab, feats []string, grow bool) Vector {
-	return AppendVector(nil, new([]int), v, feats, grow)
-}
-
-// AppendVector appends the terms of the vector Vectorize returns to dst
-// and returns the extended slice. *ids is scratch space for the feature
-// ids, grown as needed and kept there, so a caller that reuses both
-// buffers vectorizes without allocating.
-func AppendVector(dst Vector, ids *[]int, v *Vocab, feats []string, grow bool) Vector {
-	buf := slices.Grow((*ids)[:0], len(feats))
+	ids := make([]int, 0, len(feats))
 	for _, f := range feats {
 		if grow {
-			buf = append(buf, v.ID(f))
+			ids = append(ids, v.ID(f))
 		} else if id, ok := v.Lookup(f); ok {
-			buf = append(buf, id)
+			ids = append(ids, id)
 		}
 	}
-	*ids = buf
+	return appendCounts(nil, ids)
+}
+
+// appendCounts appends the count vector of vocabulary ids (in any
+// order, repeats allowed) to dst and returns the extended slice; it
+// sorts ids in place. A nil dst gets an empty, non-nil vector when ids
+// is empty, as Vectorize has always returned.
+func appendCounts(dst Vector, ids []int) Vector {
 	// Sorting the ids puts repeats side by side: each run is one term
 	// whose weight is the run length.
-	slices.Sort(buf)
+	slices.Sort(ids)
 	terms := 0
-	for i := range buf {
-		if i == 0 || buf[i] != buf[i-1] {
+	for i := range ids {
+		if i == 0 || ids[i] != ids[i-1] {
 			terms++
 		}
 	}
 	if dst == nil {
-		dst = make(Vector, 0, terms) // empty, not nil, as Vectorize has always returned
+		dst = make(Vector, 0, terms)
 	} else {
 		dst = slices.Grow(dst, terms)
 	}
-	for i := 0; i < len(buf); {
+	for i := 0; i < len(ids); {
 		j := i + 1
-		for j < len(buf) && buf[j] == buf[i] {
+		for j < len(ids) && ids[j] == ids[i] {
 			j++
 		}
-		dst = append(dst, Term{ID: buf[i], W: float64(j - i)})
+		dst = append(dst, Term{ID: ids[i], W: float64(j - i)})
 		i = j
 	}
 	return dst

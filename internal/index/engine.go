@@ -19,6 +19,12 @@ type Engine interface {
 	// concurrent use. Adding the same docID twice panics — use Has for
 	// idempotent callers.
 	Add(docID string, parts ...string)
+	// AddDocs bulk-loads docs: every document not yet indexed is added
+	// as Add would add it, in order within its writer lane or shard,
+	// and the ones already indexed (recovered by a reopened engine) are
+	// skipped. An ID that occurs twice in docs panics. It is safe for
+	// concurrent use with searches.
+	AddDocs(docs []Doc)
 	// Has reports whether docID is already indexed.
 	Has(docID string) bool
 	// Search ranks documents matching the query string and returns the

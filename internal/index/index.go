@@ -158,11 +158,32 @@ func route(docID string) uint64 {
 }
 
 // shardFor routes a document ID to its owning shard.
-func (ix *Index) shardFor(docID string) *shard {
+func (ix *Index) shardFor(docID string) *shard { return ix.shards[ix.laneOf(docID)] }
+
+// laneOf routes a document ID to its owning shard's index.
+func (ix *Index) laneOf(docID string) int {
 	if len(ix.shards) == 1 {
-		return ix.shards[0]
+		return 0
 	}
-	return ix.shards[route(docID)%uint64(len(ix.shards))]
+	return int(route(docID) % uint64(len(ix.shards)))
+}
+
+// laneCount returns the shard count, for bulkLoad.
+func (ix *Index) laneCount() int { return len(ix.shards) }
+
+// unheld implements lanes through the shard's read lock.
+func (ix *Index) unheld(l int, docs []Doc, idx []int) []int {
+	return ix.shards[l].unheld(docs, idx)
+}
+
+// appendDoc adds a tokenized document to shard l, reporting a
+// duplicate ID instead, and invalidates the query cache.
+func (ix *Index) appendDoc(l int, docID string, ts []string) (dup bool) {
+	if ix.shards[l].add(docID, ts) {
+		return true
+	}
+	ix.gen.Add(1)
+	return false
 }
 
 // scanTerms replaces sc.Words with the index terms of parts and
@@ -205,10 +226,18 @@ func terms(parts ...string) []string {
 // Add invalidates the query cache (by advancing the index generation).
 func (ix *Index) Add(docID string, parts ...string) {
 	sc := textproc.GetScratch()
-	ix.shardFor(docID).add(docID, scanTerms(sc, parts))
+	dup := ix.appendDoc(ix.laneOf(docID), docID, scanTerms(sc, parts))
 	sc.Release()
-	ix.gen.Add(1)
+	if dup {
+		panic("index: duplicate document " + docID)
+	}
 }
+
+// AddDocs indexes docs shard by shard (see bulkLoad): each shard skips
+// the documents it already holds and appends the rest in order, while
+// tokenization runs on every core. The result is that of calling Add
+// for each document not yet indexed, in order.
+func (ix *Index) AddDocs(docs []Doc) { bulkLoad(ix, docs) }
 
 // Has reports whether docID is already indexed. It is safe for
 // concurrent use and lets idempotent loaders (a web re-opened over a

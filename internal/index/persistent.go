@@ -203,10 +203,42 @@ func OpenSegmentIndex(o SegmentOptions) (*SegmentIndex, error) {
 
 // writerFor routes a document ID to its owning ingest lane.
 func (si *SegmentIndex) writerFor(docID string) *writer {
+	return si.writers[si.laneOf(docID)]
+}
+
+// laneOf routes a document ID to its owning lane's index.
+func (si *SegmentIndex) laneOf(docID string) int {
 	if len(si.writers) == 1 {
-		return si.writers[0]
+		return 0
 	}
-	return si.writers[route(docID)%uint64(len(si.writers))]
+	return int(route(docID) % uint64(len(si.writers)))
+}
+
+// laneCount returns the writer-lane count, for bulkLoad.
+func (si *SegmentIndex) laneCount() int { return len(si.writers) }
+
+// unheld implements lanes through the writer's seen set.
+func (si *SegmentIndex) unheld(l int, docs []Doc, idx []int) []int {
+	return si.writers[l].unheld(docs, idx)
+}
+
+// appendDoc adds a tokenized document to lane l's memtable, reporting
+// a duplicate ID instead; seals and hands the batch to the background
+// flusher when the memtable reaches the flush threshold; and
+// invalidates the query cache by advancing the engine generation.
+func (si *SegmentIndex) appendDoc(l int, docID string, ts []string) (dup bool) {
+	w := si.writers[l]
+	full, dup := w.add(docID, ts)
+	if dup {
+		return true
+	}
+	if full {
+		if sealed := si.seal(w, si.flushDocs); sealed != nil {
+			si.flushCh <- sealed // blocks when the flusher is behind: ingest backpressure
+		}
+	}
+	si.gen.Add(1)
+	return false
 }
 
 // Add indexes a document: tokenize outside any lock, append to the
@@ -219,16 +251,20 @@ func (si *SegmentIndex) writerFor(docID string) *writer {
 // reads parts as one text with a space between them.
 func (si *SegmentIndex) Add(docID string, parts ...string) {
 	sc := textproc.GetScratch()
-	w := si.writerFor(docID)
-	full := w.add(docID, scanTerms(sc, parts))
+	dup := si.appendDoc(si.laneOf(docID), docID, scanTerms(sc, parts))
 	sc.Release()
-	if full {
-		if sealed := si.seal(w, si.flushDocs); sealed != nil {
-			si.flushCh <- sealed // blocks when the flusher is behind: ingest backpressure
-		}
+	if dup {
+		panic("index: duplicate document " + docID)
 	}
-	si.gen.Add(1)
 }
+
+// AddDocs indexes docs lane by lane (see bulkLoad): each writer lane
+// skips the documents it already holds — those recovered from
+// committed segments included — and appends the rest in order, so
+// every memtable holds its documents in docs order, while tokenization
+// runs on every core. The result is that of calling Add for each
+// document not yet indexed, in order.
+func (si *SegmentIndex) AddDocs(docs []Doc) { bulkLoad(si, docs) }
 
 // seal swaps w's memtable under the view lock — searches never observe
 // a document in zero parts — and registers the sealed batch as still

@@ -32,14 +32,14 @@ func newShard() *shard {
 	}
 }
 
-// add indexes one document under the shard's write lock. Duplicate IDs
-// panic (the hash routes equal IDs to the same shard, so shard-local
-// detection is global detection).
-func (s *shard) add(docID string, ts []string) {
+// add indexes one document under the shard's write lock and reports a
+// duplicate ID instead of adding it (the hash routes equal IDs to the
+// same shard, so shard-local detection is global detection).
+func (s *shard) add(docID string, ts []string) (dup bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.byID[docID]; dup {
-		panic("index: duplicate document " + docID)
+		return true
 	}
 	doc := int32(len(s.ids))
 	s.ids = append(s.ids, docID)
@@ -54,6 +54,7 @@ func (s *shard) add(docID string, ts []string) {
 	for term, positions := range seenAt {
 		s.postings[term] = append(s.postings[term], Posting{Doc: doc, Positions: positions})
 	}
+	return false
 }
 
 // has reports whether the shard holds docID.
@@ -62,6 +63,20 @@ func (s *shard) has(docID string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.byID[docID]
 	return ok
+}
+
+// unheld keeps the documents of idx, indexes into docs, that the shard
+// does not hold, in order, under one read lock.
+func (s *shard) unheld(docs []Doc, idx []int) []int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	kept := idx[:0]
+	for _, i := range idx {
+		if _, ok := s.byID[docs[i].ID]; !ok {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
 // snapshotStats reads the shard's corpus statistics under the read lock.

@@ -203,17 +203,31 @@ func newWriter(limit int) *writer {
 }
 
 // add indexes one tokenized document and reports whether the active
-// memtable has reached the seal threshold. Duplicate docIDs panic,
-// matching the in-RAM engine's contract.
-func (w *writer) add(docID string, ts []string) (full bool) {
+// memtable has reached the seal threshold; a duplicate docID is
+// reported instead of added.
+func (w *writer) add(docID string, ts []string) (full, dup bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, dup := w.seen[docID]; dup {
-		panic("index: duplicate document " + docID)
+		return false, true
 	}
 	w.seen[docID] = struct{}{}
 	w.mem.add(docID, ts)
-	return w.mem.docCount() >= w.limit
+	return w.mem.docCount() >= w.limit, false
+}
+
+// unheld keeps the documents of idx, indexes into docs, that were never
+// routed to this writer, in order, under one lock.
+func (w *writer) unheld(docs []Doc, idx []int) []int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	kept := idx[:0]
+	for _, i := range idx {
+		if _, ok := w.seen[docs[i].ID]; !ok {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
 // has reports whether docID was ever routed to this writer.

@@ -44,6 +44,21 @@ type Generator struct {
 // extracted documents are, takes its Text as a slice of text; only
 // other snippets are joined into a string of their own.
 func (g Generator) Split(docID, text string) []Snippet {
+	var sents []textproc.Sentence
+	out := g.AppendSplit(nil, &sents, docID, text)
+	for i := range out {
+		out[i].ID = ID(docID, out[i].Index)
+	}
+	return out
+}
+
+// AppendSplit appends the snippets Split returns to dst and returns the
+// extended slice, with every ID left empty: a caller builds the ID of a
+// snippet it keeps with ID. *sents is scratch for the text's sentences,
+// grown as needed and kept there, so a caller that reuses both buffers
+// splits without allocating, except for a snippet whose text must be
+// joined.
+func (g Generator) AppendSplit(dst []Snippet, sents *[]textproc.Sentence, docID, text string) []Snippet {
 	n := g.N
 	if n <= 0 {
 		n = DefaultN
@@ -53,20 +68,15 @@ func (g Generator) Split(docID, text string) []Snippet {
 		stride = n
 	}
 
-	sentences := textproc.SplitSentences(text)
-	if len(sentences) == 0 {
-		return nil
-	}
-
-	var out []Snippet
+	sentences := textproc.AppendSentences((*sents)[:0], text)
+	*sents = sentences
 	index := 0
 	for from := 0; from < len(sentences); from += stride {
 		to := from + n
 		if to > len(sentences) {
 			to = len(sentences)
 		}
-		out = append(out, Snippet{
-			ID:       docID + "#" + strconv.Itoa(index),
+		dst = append(dst, Snippet{
 			DocID:    docID,
 			Index:    index,
 			Text:     sentenceText(text, sentences[from:to]),
@@ -80,7 +90,13 @@ func (g Generator) Split(docID, text string) []Snippet {
 			break
 		}
 	}
-	return out
+	return dst
+}
+
+// ID returns the stable identifier of snippet index of document docID:
+// "<docID>#<index>".
+func ID(docID string, index int) string {
+	return docID + "#" + strconv.Itoa(index)
 }
 
 // sentenceText returns ss joined with single spaces: a slice of text

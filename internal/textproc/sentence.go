@@ -49,7 +49,14 @@ var abbreviations = map[string]bool{
 //  4. Newlines that separate paragraphs (two or more in a row) always
 //     terminate the current sentence.
 func SplitSentences(text string) []Sentence {
-	var sentences []Sentence
+	return AppendSentences(nil, text)
+}
+
+// AppendSentences appends the sentences SplitSentences returns to dst
+// and returns the extended slice, so a caller that reuses one buffer
+// splits without allocating for the list. The sentences alias text.
+func AppendSentences(dst []Sentence, text string) []Sentence {
+	sentences := dst
 	n := len(text)
 
 	// Offsets are byte offsets. Runes are decoded in place (see

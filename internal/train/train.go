@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"etap/internal/annotate"
 	"etap/internal/corpus"
@@ -11,6 +12,7 @@ import (
 	"etap/internal/obs"
 	"etap/internal/par"
 	"etap/internal/snippet"
+	"etap/internal/textproc"
 	"etap/internal/web"
 )
 
@@ -146,12 +148,14 @@ func NoisyPositives(w *web.Web, ann *annotate.Annotator, spec Spec, cfg Config) 
 	perPage := make([][]Snippet, len(pages))
 	par.For(0, len(pages), func(i int) {
 		page := pages[i]
-		snips := gen.Split(page.URL, page.Text)
-		annotated := make([]Snippet, len(snips))
-		for k, sn := range snips {
+		buf := splitPool.Get().(*splitBuf)
+		buf.snips = gen.AppendSplit(buf.snips[:0], &buf.sents, page.URL, page.Text)
+		annotated := make([]Snippet, len(buf.snips))
+		for k, sn := range buf.snips {
 			annotated[k] = Snippet{Text: sn.Text, URL: page.URL, Units: ann.Annotate(sn.Text)}
 		}
 		perPage[i] = annotated
+		buf.release()
 	})
 
 	// Filter and de-duplicate in query, rank and snippet order, so the
@@ -199,14 +203,15 @@ func Negatives(w *web.Web, ann *annotate.Annotator, n int, snippetN int, seed in
 	rng := rand.New(rand.NewSource(seed))
 	var out []Snippet
 	seen := map[string]bool{}
+	var buf splitBuf
 	// Bound the attempts: a tiny web may not have n distinct snippets.
 	for attempts := 0; len(out) < n && attempts < n*20; attempts++ {
 		page, _ := w.Page(urls[rng.Intn(len(urls))])
-		snips := gen.Split(page.URL, page.Text)
-		if len(snips) == 0 {
+		buf.snips = gen.AppendSplit(buf.snips[:0], &buf.sents, page.URL, page.Text)
+		if len(buf.snips) == 0 {
 			continue
 		}
-		sn := snips[rng.Intn(len(snips))]
+		sn := buf.snips[rng.Intn(len(buf.snips))]
 		key := strings.ToLower(sn.Text)
 		if seen[key] {
 			continue
@@ -217,6 +222,23 @@ func Negatives(w *web.Web, ann *annotate.Annotator, n int, snippetN int, seed in
 	par.For(0, len(out), func(i int) { out[i].Units = ann.Annotate(out[i].Text) })
 	mNegatives.Add(uint64(len(out)))
 	return out
+}
+
+// splitBuf is reusable memory for splitting pages into snippets.
+type splitBuf struct {
+	sents []textproc.Sentence
+	snips []snippet.Snippet
+}
+
+var splitPool = sync.Pool{New: func() any { return new(splitBuf) }}
+
+// release clears b, whose snippets alias a page, and returns it to the
+// pool.
+func (b *splitBuf) release() {
+	clear(b.sents)
+	clear(b.snips)
+	b.sents, b.snips = b.sents[:0], b.snips[:0]
+	splitPool.Put(b)
 }
 
 // Oversample repeats each snippet k times (the paper's pure-positive

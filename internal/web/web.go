@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"etap/internal/index"
-	"etap/internal/par"
 	"etap/internal/textproc"
 )
 
@@ -112,10 +111,11 @@ func (w *Web) store(p Page) *Page {
 }
 
 // AddPages bulk-loads pages: page-store bookkeeping (ordering,
-// duplicate detection) stays sequential and deterministic, while the
-// expensive tokenize-and-index work fans out across a worker pool
-// feeding the sharded index concurrently. Behaviour is identical to
-// calling AddPage for each page in order; only the load parallelizes.
+// duplicate detection) stays sequential and deterministic, and the
+// index loads the pages in one Engine.AddDocs call, which tokenizes on
+// every core and appends each writer lane's pages in page order.
+// Behaviour is identical to calling AddPage for each page in order;
+// only the load parallelizes.
 func (w *Web) AddPages(pages []Page) {
 	// Sequential phase: validate and store so order and duplicate
 	// detection don't depend on scheduling.
@@ -129,10 +129,16 @@ func (w *Web) AddPages(pages []Page) {
 		stored = append(stored, w.store(p))
 	}
 	w.mu.Unlock()
-	// Concurrent phase: the index hashes documents to shards, so
-	// workers rarely contend on a shard lock. index.Add is safe for
-	// concurrent use, so no web lock is held here.
-	par.For(0, len(stored), func(i int) { w.indexPage(stored[i]) })
+	// The index is internally synchronized, so no web lock is held
+	// while it loads. Documents a reopened engine already holds are
+	// skipped there, in their lanes.
+	docs := make([]index.Doc, len(stored))
+	parts := make([]string, 2*len(stored))
+	for i, p := range stored {
+		parts[2*i], parts[2*i+1] = p.Title, p.Text
+		docs[i] = index.Doc{ID: p.URL, Parts: parts[2*i : 2*i+2 : 2*i+2]}
+	}
+	w.ix.AddDocs(docs)
 }
 
 // ErrDuplicatePage reports an Ingest of a URL the web already holds —
