@@ -67,11 +67,13 @@ race-index:
 	$(GO) test -race -count=10 -run 'TestSegmentConcurrentIngestSearchMerge|TestScratchConcurrentReaders|TestMemtableConcurrentReaders|TestBulkLoadConcurrentSearch' ./internal/index
 
 # Batch and streaming extraction score snippets in pooled per-worker
-# scratch and share the batch stash, so the tests that run them
-# concurrently on one System run 10 times under the race detector
-# (about 15 s on 2 vCPUs).
+# scratch and share the batch stash, and every annotating goroutine
+# loads and replaces the word table's entries, so the tests that run
+# them concurrently on one System, and the test that races lookups of
+# words sharing a word-table set, run 10 times under the race detector
+# (about 20 s on 2 vCPUs).
 race-extract:
-	$(GO) test -race -count=10 -run 'TestBatchExtractionConcurrent|TestBatchAndStreamingShareSystem' ./internal/core
+	$(GO) test -race -count=10 -run 'TestBatchExtractionConcurrent|TestBatchAndStreamingShareSystem|TestLexConcurrentCollidingWords' ./internal/core ./internal/textproc
 
 # One pass over every benchmark (quality numbers + observability
 # overhead). CI runs it so the benchmarks that size performance claims

@@ -3,9 +3,11 @@ package alert
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"etap/internal/rank"
@@ -204,5 +206,109 @@ func TestFanOutCountsSSEMarshalErrors(t *testing.T) {
 	m.fanOut(context.Background(), ev, fixedClock(), ingestItem{acceptedAt: fixedClock()})
 	if got := m.met.sseMarshal.Value(); got != 1 {
 		t.Fatalf("sse marshal error counter = %d, want 1", got)
+	}
+}
+
+// TestSubscriptionIndexModel drives Subscriptions with seeded random
+// sequences of Add, Update, Delete and Candidates reads, keeping a
+// model of the live set in insertion order beside it. Subscriptions
+// use alias company forms, empty filters and tenant scopes. After every
+// step List must equal the model, IDs, order and fields, and every
+// read must match the linear scan of the model, IDs and order both.
+func TestSubscriptionIndexModel(t *testing.T) {
+	companies := []string{"Acme", "Acme Inc.", "ACME corp", "Globex", "Globex Corporation",
+		"Initech", "Umbrella Ltd", "", "...", "Zürich Holdings"}
+	drivers := []string{"mergers-acquisitions", "change-in-management", "revenue-growth", ""}
+	tenants := []string{"", "", "north", "south"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ss := NewSubscriptions()
+		var model []Subscription
+		randomSub := func() Subscription {
+			return Subscription{
+				Company:    companies[rng.Intn(len(companies))],
+				Driver:     drivers[rng.Intn(len(drivers))],
+				MinScore:   float64(rng.Intn(12)) / 10, // 1.1 is invalid
+				WebhookURL: fmt.Sprintf("http://hook-%d.example.com/h", rng.Intn(5)),
+				Tenant:     tenants[rng.Intn(len(tenants))],
+			}
+		}
+		pickID := func() string {
+			if len(model) == 0 || rng.Intn(8) == 0 {
+				return fmt.Sprintf("sub-%d", rng.Intn(400))
+			}
+			return model[rng.Intn(len(model))].ID
+		}
+		find := func(id string) int {
+			for i, s := range model {
+				if s.ID == id {
+					return i
+				}
+			}
+			return -1
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				s := randomSub()
+				got, err := ss.Add(s)
+				if (err != nil) != (s.Validate() != nil) {
+					t.Fatalf("seed %d step %d: Add(%+v) = %v, validation %v", seed, step, s, err, s.Validate())
+				}
+				if err == nil {
+					if got.Company != rank.Canonical(s.Company) {
+						t.Fatalf("seed %d step %d: stored company %q for %q", seed, step, got.Company, s.Company)
+					}
+					model = append(model, got)
+				}
+			case op < 6:
+				id, s := pickID(), randomSub()
+				got, err := ss.Update(id, s)
+				i := find(id)
+				switch {
+				case s.Validate() != nil:
+					if err == nil {
+						t.Fatalf("seed %d step %d: Update(%s, %+v) accepted an invalid subscription", seed, step, id, s)
+					}
+				case i < 0:
+					if !errors.Is(err, ErrUnknownSubscription) {
+						t.Fatalf("seed %d step %d: Update(%s) of a dead ID = %v", seed, step, id, err)
+					}
+				case err != nil:
+					t.Fatalf("seed %d step %d: Update(%s): %v", seed, step, id, err)
+				default:
+					model[i] = got
+				}
+			case op < 7:
+				id := pickID()
+				err := ss.Delete(id)
+				if i := find(id); i >= 0 {
+					if err != nil {
+						t.Fatalf("seed %d step %d: Delete(%s): %v", seed, step, id, err)
+					}
+					model = append(model[:i], model[i+1:]...)
+				} else if !errors.Is(err, ErrUnknownSubscription) {
+					t.Fatalf("seed %d step %d: Delete(%s) of a dead ID = %v", seed, step, id, err)
+				}
+			default:
+				ev := rank.Event{
+					Company: companies[rng.Intn(len(companies))],
+					Driver:  drivers[rng.Intn(len(drivers))],
+					Score:   float64(rng.Intn(11)) / 10,
+				}
+				var want []string
+				for _, s := range model {
+					if s.Matches(ev) {
+						want = append(want, s.ID)
+					}
+				}
+				if got := indexedMatch(ss, ev); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: event %+v: indexed %v, linear %v", seed, step, ev, got, want)
+				}
+			}
+			if got := ss.List(); !reflect.DeepEqual(got, model) && len(got)+len(model) > 0 {
+				t.Fatalf("seed %d step %d: List() = %+v, model %+v", seed, step, got, model)
+			}
+		}
 	}
 }

@@ -23,14 +23,23 @@ type Unit struct {
 	Entity ner.Category
 	// POS is the coarse part-of-speech tag; valid when Entity == "".
 	POS pos.Tag
+	// Word is the word-table entry of a word unit's text, which
+	// abstraction reads its normalization from; nil for an entity, and
+	// for a unit built by hand.
+	Word *textproc.Word
 }
 
 // IsEntity reports whether the unit is a named entity.
 func (u Unit) IsEntity() bool { return u.Entity != "" }
 
-// Lower returns the lower-cased surface text, through textproc's word
-// table.
-func (u Unit) Lower() string { return textproc.Lower(u.Text) }
+// Lower returns the lower-cased surface text, from the unit's entry
+// or through textproc's word table.
+func (u Unit) Lower() string {
+	if u.Word != nil {
+		return u.Word.Lower
+	}
+	return textproc.Lower(u.Text)
+}
 
 // Annotator runs NER first and fills the gaps with POS tags.
 type Annotator struct {
@@ -56,17 +65,34 @@ func (a *Annotator) Annotate(text string) []Unit {
 
 // AppendUnits appends the units Annotate returns to dst and returns the
 // extended slice, so a caller that reuses one buffer annotates without
-// allocating for the units. Each token is lower-cased once, for the
-// recognizer and the tagger alike; tokens, lower-cased forms, tags and
-// entities go into pooled scratch that no returned unit references. A
-// unit's text is a slice of text, or of a string the recognizer joined.
+// allocating for the units. Each token is looked up in textproc's word
+// table once, and the recognizer and the tagger read its entry: its
+// lower-cased form, gazetteer roles and context-free tags. Tokens,
+// entries, tags and entities go into pooled scratch that no returned
+// unit references. A unit's text is a slice of text, or of a string
+// the recognizer joined.
 func (a *Annotator) AppendUnits(dst []Unit, text string) []Unit {
+	return a.annotate(dst, nil, text)
+}
+
+// AppendUnitsAndWords is AppendUnits that also appends to words the
+// lower-cased form of every word token of text, in order — what
+// rank.Lexicon.ScoreWords reads — so a caller that scores a snippet's
+// orientation does not tokenize it again.
+func (a *Annotator) AppendUnitsAndWords(dst []Unit, words []string, text string) ([]Unit, []string) {
+	dst = a.annotate(dst, &words, text)
+	return dst, words
+}
+
+// annotate is AppendUnits, appending the word tokens' lower-cased forms
+// to *words when words is not nil.
+func (a *Annotator) annotate(dst []Unit, words *[]string, text string) []Unit {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	tokens := sc.text.Tokenize(text)
-	lowered := sc.text.Lowered()
-	sc.entities = a.rec.AppendEntities(sc.entities[:0], text, tokens, lowered)
-	sc.tags = pos.AppendTags(sc.tags[:0], tokens, lowered)
+	entries := sc.text.Lookup()
+	sc.entities = a.rec.AppendEntities(sc.entities[:0], text, tokens, entries)
+	sc.tags = pos.AppendTags(sc.tags[:0], tokens, entries)
 
 	dst = slices.Grow(dst, len(tokens))
 	entities, tags := sc.entities, sc.tags
@@ -80,11 +106,18 @@ func (a *Annotator) AppendUnits(dst []Unit, text string) []Unit {
 			continue
 		}
 		if tokens[i].Kind == textproc.KindWord {
-			dst = append(dst, Unit{Text: tokens[i].Text, POS: tags[i].Coarse()})
+			dst = append(dst, Unit{Text: tokens[i].Text, POS: tags[i].Coarse(), Word: entries[i]})
 		}
 		// numbers outside entities cannot occur (CNT catches them);
 		// punctuation and symbols are dropped.
 		i++
+	}
+	if words != nil {
+		for i, t := range tokens {
+			if t.Kind == textproc.KindWord {
+				*words = append(*words, entries[i].Lower)
+			}
+		}
 	}
 	return dst
 }

@@ -3,10 +3,13 @@ package annotate
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"etap/internal/corpus"
 	"etap/internal/ner"
 	"etap/internal/pos"
+	"etap/internal/snippet"
 )
 
 func TestAnnotateMixesEntitiesAndPOS(t *testing.T) {
@@ -137,11 +140,27 @@ func TestWarmAnnotateAllocs(t *testing.T) {
 }
 
 // BenchmarkAnnotate measures a snippet whose words are all in the word
-// table (hit), and snippets whose content words are all new to it
-// (miss): they cycle through far more distinct words than the table has
-// slots.
+// table (hit), snippets whose content words are all new to it (miss):
+// they cycle through far more distinct words than the table holds, and
+// every snippet of the leads benchmark world in turn (corpus: seven
+// times the default world, 18,777 snippets), reporting ns per snippet.
 func BenchmarkAnnotate(b *testing.B) {
 	a := New(nil)
+	b.Run("corpus", func(b *testing.B) {
+		b.ReportAllocs()
+		texts := leadsSnippets()
+		var units []Unit
+		for _, t := range texts {
+			units = a.AppendUnits(units[:0], t)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, t := range texts {
+				units = a.AppendUnits(units[:0], t)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/snippet")
+	})
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		text := "IBM paid $160 million for Daksh on January 12, 2004 and Mr. Smith, the new CEO, praised the 10% growth in New York."
@@ -168,3 +187,18 @@ func BenchmarkAnnotate(b *testing.B) {
 		}
 	})
 }
+
+// leadsSnippets returns the snippet texts of the world the leads
+// benchmark workload builds (etapbench/leads.go), split as the scoring
+// kernel splits its pages.
+var leadsSnippets = sync.OnceValue(func() []string {
+	docs := corpus.NewGenerator(corpus.Config{Seed: 1, RelevantPerDriver: 840, HardNegativePerDriver: 280,
+		BackgroundDocs: 2800, FamousEventDocs: 56}).World()
+	var texts []string
+	for i := range docs {
+		for _, sn := range (snippet.Generator{N: snippet.DefaultN}).Split(docs[i].URL, docs[i].Text()) {
+			texts = append(texts, sn.Text)
+		}
+	}
+	return texts
+})

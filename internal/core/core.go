@@ -348,10 +348,11 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 	// growing the table; the negatives keep theirs for the next driver.
 	// Then apply classical feature selection (Section 3.2.1) computed
 	// on the training data.
+	compiled := s.table.Compile(policy)
 	intern := func(units [][]annotate.Unit) [][]int32 {
 		lists := make([][]int32, len(units))
 		for i, u := range units {
-			lists[i] = s.table.AppendInterned(nil, u, policy)
+			lists[i] = compiled.AppendInterned(nil, u)
 		}
 		return lists
 	}
@@ -364,7 +365,7 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 	}
 	lists := intern(pureUnits)
 	for _, n := range noisy {
-		lists = append(lists, s.table.AppendInterned(nil, n.Units, policy))
+		lists = append(lists, compiled.AppendInterned(nil, n.Units))
 	}
 	lists = append(lists, negIDs...)
 	labels := make([]bool, len(lists))
@@ -385,9 +386,9 @@ func (s *System) AddDriver(d SalesDriver, purePositives []string) (TrainingStats
 
 	nPure := len(pureUnits)
 	var pureVecs, noisyVecs, negVecs []feature.Vector
-	var buf []int
+	var counts feature.Counts
 	for i, ids := range lists {
-		v := proj.AppendVector(nil, &buf, ids)
+		v := proj.AppendVector(nil, &counts, ids)
 		switch {
 		case i < nPure:
 			pureVecs = append(pureVecs, v)
@@ -479,7 +480,7 @@ func (s *System) Score(driverID, text string) (float64, error) {
 	defer w.release()
 	w.units = s.ann.AppendUnits(w.units[:0], text)
 	k := sc.policyOf[d]
-	w.feats[k] = s.table.AppendIDs(w.feats[k][:0], w.units, sc.policies[k])
+	w.feats[k] = sc.policies[k].AppendIDs(w.feats[k][:0], w.units)
 	return sc.prob(w, d), nil
 }
 

@@ -123,12 +123,12 @@ func annotationDigests(t *testing.T, seed int64) goldenResult {
 	tab := feature.NewTable()
 	names := func(us []annotate.Unit, p feature.Policy) []string {
 		var out []string
-		for _, id := range tab.AppendInterned(nil, us, p) {
+		for _, id := range tab.Compile(p).AppendInterned(nil, us) {
 			out = append(out, tab.Name(id))
 		}
 		return out
 	}
-	var buf []int
+	var counts feature.Counts
 	res := goldenResult{pages: len(docs)}
 	var pages []*web.Page
 	for _, d := range docs {
@@ -160,7 +160,7 @@ func annotationDigests(t *testing.T, seed int64) goldenResult {
 			vectors.vector(feature.Vectorize(grown, names(us, bow), true))
 			for _, id := range ids {
 				td := sys.drivers[id]
-				vectors.vector(td.proj.AppendVector(nil, &buf, sys.table.AppendIDs(nil, us, td.policy)))
+				vectors.vector(td.proj.AppendVector(nil, &counts, sys.table.Compile(td.policy).AppendIDs(nil, us)))
 			}
 		}
 		split.int(-1)

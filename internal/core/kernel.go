@@ -17,13 +17,14 @@ import (
 )
 
 // scorer is the trained drivers in sorted-ID order with their distinct
-// abstraction policies: drivers that share a policy share the feature
-// ids it abstracts, so a snippet is abstracted once per policy, not
-// once per driver. AddDriver and ImportDriver rebuild it; extraction
-// and Score only read it.
+// abstraction policies, each compiled against the feature table:
+// drivers that share a policy share the feature ids it abstracts, so a
+// snippet is abstracted once per policy, not once per driver.
+// AddDriver and ImportDriver rebuild it after growing the table;
+// extraction and Score only read it.
 type scorer struct {
 	drivers  []*trainedDriver
-	policies []feature.Policy
+	policies []*feature.Compiled
 	policyOf []int // drivers[d] abstracts with policies[policyOf[d]]
 }
 
@@ -35,12 +36,14 @@ func (s *System) rebuildScorer() {
 	ids := s.Drivers()
 	sort.Strings(ids)
 	sc := &scorer{}
+	var policies []feature.Policy
 	for _, id := range ids {
 		td := s.drivers[id]
-		k := slices.IndexFunc(sc.policies, func(p feature.Policy) bool { return maps.Equal(p, td.policy) })
+		k := slices.IndexFunc(policies, func(p feature.Policy) bool { return maps.Equal(p, td.policy) })
 		if k < 0 {
-			k = len(sc.policies)
-			sc.policies = append(sc.policies, td.policy)
+			k = len(policies)
+			policies = append(policies, td.policy)
+			sc.policies = append(sc.policies, s.table.Compile(td.policy))
 		}
 		sc.drivers = append(sc.drivers, td)
 		sc.policyOf = append(sc.policyOf, k)
@@ -51,21 +54,22 @@ func (s *System) rebuildScorer() {
 // prob classifies the snippet abstracted in w for driver d.
 func (sc *scorer) prob(w *scratch, d int) float64 {
 	td := sc.drivers[d]
-	w.vec = td.proj.AppendVector(w.vec[:0], &w.ids, w.feats[sc.policyOf[d]])
+	w.vec = td.proj.AppendVector(w.vec[:0], &w.counts, w.feats[sc.policyOf[d]])
 	return td.clf.Prob(w.vec)
 }
 
 // scratch is one worker's memory for the scoring kernel, reused from
 // snippet to snippet and, through scratchPool, from page to page: one
-// page's sentences and snippets, one snippet's units, its feature ids
-// under each policy, one driver's vector, and the events scored since
-// the scratch was taken.
+// page's sentences and snippets, one snippet's units and lower-cased
+// words, its feature ids under each policy, one driver's vector, and
+// the events scored since the scratch was taken.
 type scratch struct {
 	sents  []textproc.Sentence
 	snips  []snippet.Snippet
 	units  []annotate.Unit
+	words  []string  // the snippet's word tokens, lower-cased, for orientation
 	feats  [][]int32 // feats[k] is the snippet under policies[k]
-	ids    []int     // AppendVector's vocabulary-id buffer
+	counts feature.Counts
 	vec    feature.Vector
 	events []rank.Event // in (snippet, driver) order
 }
@@ -93,6 +97,8 @@ func (w *scratch) release() {
 	w.snips = w.snips[:0]
 	clear(w.units[:cap(w.units)])
 	w.units = w.units[:0]
+	clear(w.words[:cap(w.words)])
+	w.words = w.words[:0]
 	clear(w.events[:cap(w.events)])
 	w.events = w.events[:0]
 	scratchPool.Put(w)
@@ -127,14 +133,14 @@ func (s *System) scorePage(sc *scorer, w *scratch, page *web.Page, threshold flo
 		if m != nil {
 			t = time.Now()
 		}
-		w.units = s.ann.AppendUnits(w.units[:0], sn.Text)
+		w.units, w.words = s.ann.AppendUnitsAndWords(w.units[:0], w.words[:0], sn.Text)
 		if m != nil {
 			now := time.Now()
 			m.annotateDur.Observe(now.Sub(t).Seconds())
 			t = now
 		}
 		for k, p := range sc.policies {
-			w.feats[k] = s.table.AppendIDs(w.feats[k][:0], w.units, p)
+			w.feats[k] = p.AppendIDs(w.feats[k][:0], w.units)
 		}
 		var abstractShare time.Duration
 		if m != nil {
@@ -163,7 +169,7 @@ func (s *System) scorePage(sc *scorer, w *scratch, page *web.Page, threshold flo
 				Company:   firstOrg(w.units),
 			}
 			if td.spec.Orientation != nil {
-				ev.Orientation = td.spec.Orientation.Score(sn.Text)
+				ev.Orientation = td.spec.Orientation.ScoreWords(w.words)
 			}
 			w.events = append(w.events, ev)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,7 +10,12 @@ import (
 
 	"etap/internal/annotate"
 	"etap/internal/corpus"
+	"etap/internal/feature"
+	"etap/internal/ner"
+	"etap/internal/pos"
 	"etap/internal/rank"
+	"etap/internal/snippet"
+	"etap/internal/textproc"
 	"etap/internal/web"
 )
 
@@ -175,11 +181,12 @@ func TestWarmKernelAllocs(t *testing.T) {
 
 // maxKernelAllocsPerSnippet bounds TestWarmKernelAllocs. What is left
 // is annotation's: the text of an entity whose tokens are not spaced by
-// single blanks, and words normalized afresh after a word-table slot
-// was taken by another (1.7 per snippet over these pages). Building a
-// name per instance-valued feature and an ID per snippet cost more than
-// ten per snippet.
-const maxKernelAllocsPerSnippet = 2.0
+// single blanks (about 0.8 per snippet over these pages), and the few
+// words computed afresh after two other words of their word-table set
+// arrived (1.0 per snippet in all). When a word lost its slot to any
+// other, the kernel made 1.7 per snippet; building a name per
+// instance-valued feature and an ID per snippet cost more than ten.
+const maxKernelAllocsPerSnippet = 1.2
 
 // TestTrainingKeepsNoUnits trains every default driver and walks all
 // that the System holds (its web aside: pages and their index hold no
@@ -298,5 +305,87 @@ func TestScorerCachedPerDriverSet(t *testing.T) {
 	f.addDriver(t, corpus.RevenueGrowth, 10)
 	if got := f.sys.scorer(); got == sc || len(got.drivers) != 2 {
 		t.Fatal("AddDriver did not rebuild the scorer for the new driver set")
+	}
+}
+
+// nameFeatures is abstraction by feature name, as it was before feature
+// ids: one name per instance-valued unit ("w=<stem>" for a word that is
+// not a stop word, "<CAT>=<lower>" for an entity) and one "ENT=<CAT>"
+// or "POS=<tag>" per presence-absence category present.
+func nameFeatures(units []annotate.Unit, p feature.Policy) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, u := range units {
+		c := feature.POSCategory(u.POS)
+		if u.IsEntity() {
+			c = feature.EntityCategory(u.Entity)
+		}
+		rep, ok := p[c]
+		switch {
+		case !ok || rep == feature.RepDrop:
+		case rep == feature.RepPA:
+			name := "POS=" + string(c.POS)
+			if u.IsEntity() {
+				name = "ENT=" + string(c.Entity)
+			}
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
+		case u.IsEntity():
+			out = append(out, string(u.Entity)+"="+strings.ToLower(u.Text))
+		case !textproc.IsStopword(strings.ToLower(u.Text)):
+			out = append(out, "w="+textproc.Stem(strings.ToLower(u.Text)))
+		}
+	}
+	return out
+}
+
+// TestScoreMatchesNamePath trains two drivers under each of the
+// default, bag-of-words, a mixed and the RIG-chosen (AutoPolicy)
+// policies, then scores snippets through the kernel (Score: compiled
+// policies and ordered vectors) and through the name path (feature
+// names, the vocabulary's map and a sorted vector): every probability
+// must have the same bits.
+func TestScoreMatchesNamePath(t *testing.T) {
+	mixed := feature.DefaultPolicy()
+	mixed[feature.EntityCategory(ner.ORG)] = feature.RepIV
+	mixed[feature.POSCategory(pos.TagIN)] = feature.RepPA
+	mixed[feature.POSCategory(pos.TagRB)] = feature.RepDrop
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{Seed: 61}},
+		{"bag-of-words", Config{Seed: 61, Policy: feature.BagOfWordsPolicy()}},
+		{"mixed", Config{Seed: 61, Policy: mixed}},
+		{"auto", Config{Seed: 61, AutoPolicy: true}},
+	} {
+		f := newFixture(t, 61, c.cfg)
+		f.addDriver(t, corpus.ChangeInManagement, 10)
+		f.addDriver(t, corpus.RevenueGrowth, 10)
+		scored, positive := 0, 0
+		for _, p := range f.batchPages(t, len(f.docs)) {
+			for _, sn := range (snippet.Generator{N: f.sys.cfg.SnippetN}).Split(p.URL, p.Text) {
+				units := f.sys.ann.Annotate(sn.Text)
+				for id, td := range f.sys.drivers {
+					got, err := f.sys.Score(id, sn.Text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := td.clf.Prob(feature.Vectorize(td.vocab, nameFeatures(units, td.policy), false))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, %s, %q: Score = %v, name path %v", c.name, id, sn.Text, got, want)
+					}
+					scored++
+					if got >= 0.5 {
+						positive++
+					}
+				}
+			}
+		}
+		if positive == 0 || positive == scored {
+			t.Fatalf("%s: %d of %d snippets positive: the comparison proves little", c.name, positive, scored)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // the names the policy documents.
 func extractNames(units []annotate.Unit, p Policy) []string {
 	t := NewTable()
-	ids := t.AppendInterned(nil, units, p)
+	ids := t.Compile(p).AppendInterned(nil, units)
 	names := make([]string, len(ids))
 	for i, id := range ids {
 		names[i] = t.Name(id)

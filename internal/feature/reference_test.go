@@ -157,12 +157,13 @@ func TestIDPathMatchesNamePath(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		policy := randomPolicy(rng)
 		tab := NewTable()
+		compiled := tab.Compile(policy)
 		var idLists [][]int32
 		var nameLists [][]string
 		var labels []bool
 		for n := 0; n < 60; n++ {
 			units := randomUnits(rng)
-			ids := tab.AppendInterned(nil, units, policy)
+			ids := compiled.AppendInterned(nil, units)
 			want := refExtract(units, policy)
 			got := make([]string, len(ids))
 			for i, id := range ids {
@@ -192,11 +193,12 @@ func TestIDPathMatchesNamePath(t *testing.T) {
 				t.Fatalf("seed %d: %s vocabulary %q through ids, %q through names", seed, kind, v[0].Names(), v[1].Names())
 			}
 			proj := tab.Project(v[0])
+			scoring := tab.Compile(policy)
 			size := tab.Len()
-			var buf []int
+			var counts Counts
 			for n := 0; n < 60; n++ {
 				units := randomUnits(rng)
-				got := proj.AppendVector(nil, &buf, tab.AppendIDs(nil, units, policy))
+				got := proj.AppendVector(nil, &counts, scoring.AppendIDs(nil, units))
 				want := Vectorize(v[1], refExtract(units, policy), false)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d, %s: id path vector %v, name path %v", seed, kind, got, want)
@@ -216,8 +218,8 @@ func TestTableInternNameRoundTrip(t *testing.T) {
 	tab := NewTable()
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n < 50; n++ {
-		tab.AppendInterned(nil, randomUnits(rng), BagOfWordsPolicy())
-		tab.AppendInterned(nil, randomUnits(rng), randomPolicy(rng))
+		tab.Compile(BagOfWordsPolicy()).AppendInterned(nil, randomUnits(rng))
+		tab.Compile(randomPolicy(rng)).AppendInterned(nil, randomUnits(rng))
 	}
 	size := tab.Len()
 	for id := int32(0); id < int32(size); id++ {
@@ -294,4 +296,157 @@ func refTopK(examples [][]string, labels []bool, m SelectionMeasure, k int) []st
 	}
 	sort.Strings(names)
 	return names
+}
+
+// refAppendIDs is the abstraction compiled policies replaced, kept as
+// their reference: per unit it probes the policy map for the unit's
+// category, the table's presence-absence map, and the word table for a
+// word unit's text.
+func refAppendIDs(t *Table, dst []int32, units []annotate.Unit, p Policy, grow bool) []int32 {
+	var paBuf [16]int32
+	pa := paBuf[:0]
+	for i := range units {
+		u := &units[i]
+		c := POSCategory(u.POS)
+		if u.IsEntity() {
+			c = EntityCategory(u.Entity)
+		}
+		rep, ok := p[c]
+		if !ok {
+			continue
+		}
+		id := int32(-1)
+		switch {
+		case rep == RepPA:
+			if id = t.paID(c, grow); slices.Contains(pa, id) {
+				continue
+			}
+			pa = append(pa, id)
+		case rep == RepIV && u.IsEntity():
+			id = t.entityID(u.Entity, textproc.Lower(u.Text), grow)
+		case rep == RepIV:
+			if lx := textproc.Normalize(u.Text); !lx.Stop {
+				id = t.wordID(lx.Stem, grow)
+			}
+		}
+		if id >= 0 {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// refAppendVector is the AppendVector ordered vectors replaced, kept as
+// their reference: vocabulary ids sorted, each run one term.
+func refAppendVector(p Projection, ids []int32) Vector {
+	var b []int
+	for _, id := range ids {
+		if int(id) < len(p) && p[id] >= 0 {
+			b = append(b, int(p[id]))
+		}
+	}
+	return countVector(b)
+}
+
+// TestDenseIndexNumbersCategories checks that denseIndex and
+// denseCategory number the same categories the same way, and that
+// every category annotation produces has a dense index.
+func TestDenseIndexNumbersCategories(t *testing.T) {
+	for k := 0; k < numDense; k++ {
+		c := denseCategory(k)
+		u := annotate.Unit{Text: "x", Entity: c.Entity, POS: c.POS}
+		if got := denseIndex(&u); got != k {
+			t.Errorf("denseIndex(%v) = %d, want %d", c, got, k)
+		}
+	}
+	for _, tag := range []pos.Tag{pos.TagNN, pos.TagNNS, pos.TagNP, pos.TagVB, pos.TagVBD, pos.TagVBG,
+		pos.TagVBN, pos.TagVBZ, pos.TagVBP, pos.TagMD, pos.TagJJ, pos.TagJJR, pos.TagJJS, pos.TagRB,
+		pos.TagIN, pos.TagDT, pos.TagCC, pos.TagCD, pos.TagPRP, pos.TagPPS, pos.TagTO, pos.TagEX,
+		pos.TagWDT, pos.TagWP, pos.TagWRB, pos.TagPOS, pos.TagUH, pos.TagSym, pos.TagPct} {
+		if u := (annotate.Unit{Text: "x", POS: tag.Coarse()}); denseIndex(&u) < 0 {
+			t.Errorf("coarse tag %q of %q has no dense index", tag.Coarse(), tag)
+		}
+	}
+	for _, c := range ner.Categories {
+		if u := (annotate.Unit{Text: "x", Entity: c}); denseIndex(&u) < 0 {
+			t.Errorf("entity category %q has no dense index", c)
+		}
+	}
+}
+
+// TestCompiledMatchesMapPath trains two tables on the same snippets,
+// one through a compiled policy and one through refAppendIDs, under
+// the default, bag-of-words, mixed and RIG-chosen (AutoPolicy)
+// policies, on units built by hand and units the annotator made (which
+// carry their word-table entries). The tables must hold the same
+// features under the same ids; scoring through a policy compiled after
+// training must give refAppendIDs's ids, and AppendVector the sorting
+// reference's vectors, term for term and weight for weight.
+func TestCompiledMatchesMapPath(t *testing.T) {
+	ann := annotate.New(nil)
+	words := []string{"IBM", "acquired", "Daksh", "for", "$160", "million", "The", "new", "Chief",
+		"Executive", "Officer", "of", "Acme", "Corp", "grew", "revenue", "10%", "in", "Q4", "2004",
+		"quickly", "and", "Mr.", "Smith", "named", "Boston", "record", "profit", "it", "was"}
+	snippet := func(rng *rand.Rand) []annotate.Unit {
+		if rng.Intn(2) == 0 {
+			return randomUnits(rng)
+		}
+		var b strings.Builder
+		for k := rng.Intn(25); k >= 0; k-- {
+			b.WriteString(words[rng.Intn(len(words))])
+			b.WriteByte(' ')
+		}
+		return ann.Annotate(b.String())
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var policy Policy
+		switch seed % 4 {
+		case 0:
+			policy = DefaultPolicy()
+		case 1:
+			policy = BagOfWordsPolicy()
+		case 2:
+			policy = randomPolicy(rng)
+		default:
+			var labeled []Labeled
+			for n := 0; n < 80; n++ {
+				labeled = append(labeled, Labeled{Units: snippet(rng), Label: rng.Intn(2) == 0})
+			}
+			policy = ChoosePolicy(labeled, AllCategories())
+		}
+		got, want := NewTable(), NewTable()
+		training := got.Compile(policy)
+		var lists [][]int32
+		for n := 0; n < 60; n++ {
+			units := snippet(rng)
+			ids := training.AppendInterned(nil, units)
+			if ref := refAppendIDs(want, nil, units, policy, true); !slices.Equal(ids, ref) {
+				t.Fatalf("seed %d: interned %v, map path %v", seed, ids, ref)
+			}
+			lists = append(lists, ids)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("seed %d: tables hold %d and %d features", seed, got.Len(), want.Len())
+		}
+		for id := int32(0); id < int32(got.Len()); id++ {
+			if got.Name(id) != want.Name(id) {
+				t.Fatalf("seed %d: id %d is %q, map path %q", seed, id, got.Name(id), want.Name(id))
+			}
+		}
+		proj := got.Project(got.Vocab(lists))
+		scoring := got.Compile(policy)
+		var counts Counts
+		for n := 0; n < 60; n++ {
+			units := snippet(rng)
+			ids := scoring.AppendIDs(nil, units)
+			if ref := refAppendIDs(got, nil, units, policy, false); !slices.Equal(ids, ref) {
+				t.Fatalf("seed %d: scoring ids %v, map path %v", seed, ids, ref)
+			}
+			vec := proj.AppendVector(Vector{{ID: -1, W: 7}}, &counts, ids)
+			if ref := refAppendVector(proj, ids); !reflect.DeepEqual(vec[1:], ref) || vec[0] != (Term{ID: -1, W: 7}) {
+				t.Fatalf("seed %d: vector %v, sorting reference %v", seed, vec, ref)
+			}
+		}
+	}
 }

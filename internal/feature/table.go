@@ -1,13 +1,10 @@
 package feature
 
 import (
-	"slices"
 	"strings"
 
-	"etap/internal/annotate"
 	"etap/internal/ner"
 	"etap/internal/pos"
-	"etap/internal/textproc"
 )
 
 // Table gives every feature abstraction can emit a dense integer id:
@@ -19,11 +16,13 @@ import (
 // driver. Names are built only on request (Name), for feature selection
 // ties, vocabularies and snapshots.
 //
-// Only training and driver import grow the table (AppendInterned,
-// Intern, Project); scoring (AppendIDs) never does, and leaves out the
-// features the table lacks, which no vocabulary built from it can
-// hold. Lookups are safe for concurrent use with each other; growth
-// must not run concurrently with anything else.
+// Abstraction goes through a policy compiled against the table
+// (Compile). Only training and driver import grow the table
+// (Compiled.AppendInterned, Intern, Project); scoring
+// (Compiled.AppendIDs) never does, and leaves out the features the
+// table lacks, which no vocabulary built from it can hold. Lookups are
+// safe for concurrent use with each other; growth must not run
+// concurrently with anything else.
 type Table struct {
 	words map[string]int32
 	ents  map[entityKey]int32
@@ -114,64 +113,6 @@ func (t *Table) Intern(name string) int32 {
 	return id
 }
 
-// AppendIDs appends the features of an annotated snippet under p to dst
-// as table ids and returns the extended slice, without growing the
-// table:
-//
-//   - RepPA categories contribute their presence-absence feature once,
-//     when at least one instance is present;
-//   - RepIV categories contribute one feature per instance occurrence:
-//     the stem of a POS category's word, the lower-cased text of an
-//     entity;
-//   - stop words never become instance-valued features.
-//
-// Features the table does not hold are left out.
-func (t *Table) AppendIDs(dst []int32, units []annotate.Unit, p Policy) []int32 {
-	return t.appendIDs(dst, units, p, false)
-}
-
-// AppendInterned is AppendIDs adding the features the table does not
-// hold yet, for training.
-func (t *Table) AppendInterned(dst []int32, units []annotate.Unit, p Policy) []int32 {
-	return t.appendIDs(dst, units, p, true)
-}
-
-func (t *Table) appendIDs(dst []int32, units []annotate.Unit, p Policy, grow bool) []int32 {
-	// pa holds the presence-absence ids emitted so far — at most one
-	// per category, so a scan beats a map.
-	var paBuf [16]int32
-	pa := paBuf[:0]
-	for i := range units {
-		u := &units[i]
-		c := POSCategory(u.POS)
-		if u.IsEntity() {
-			c = EntityCategory(u.Entity)
-		}
-		rep, ok := p[c]
-		if !ok {
-			continue
-		}
-		id := int32(-1)
-		switch {
-		case rep == RepPA:
-			if id = t.paID(c, grow); slices.Contains(pa, id) {
-				continue
-			}
-			pa = append(pa, id)
-		case rep == RepIV && u.IsEntity():
-			id = t.entityID(u.Entity, u.Lower(), grow)
-		case rep == RepIV:
-			if lx := textproc.Normalize(u.Text); !lx.Stop {
-				id = t.wordID(lx.Stem, grow)
-			}
-		}
-		if id >= 0 {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
 // add appends a feature and returns its id.
 func (t *Table) add(f tableFeature) int32 {
 	t.feats = append(t.feats, f)
@@ -243,19 +184,3 @@ func (t *Table) Project(v *Vocab) Projection {
 // it. Ids at or beyond len(p) were added to the table after the
 // projection was built, so the vocabulary lacks them too.
 type Projection []int32
-
-// AppendVector appends the count vector of the features ids (table
-// ids) over the projection's vocabulary to dst and returns the
-// extended slice: Vectorize of their names without growing. *buf is
-// scratch for the vocabulary ids, grown as needed and kept there, so a
-// caller that reuses both buffers vectorizes without allocating.
-func (p Projection) AppendVector(dst Vector, buf *[]int, ids []int32) Vector {
-	b := (*buf)[:0]
-	for _, id := range ids {
-		if int(id) < len(p) && p[id] >= 0 {
-			b = append(b, int(p[id]))
-		}
-	}
-	*buf = b
-	return appendCounts(dst, b)
-}

@@ -74,14 +74,13 @@ func Vectorize(v *Vocab, feats []string, grow bool) Vector {
 			ids = append(ids, id)
 		}
 	}
-	return appendCounts(nil, ids)
+	return countVector(ids)
 }
 
-// appendCounts appends the count vector of vocabulary ids (in any
-// order, repeats allowed) to dst and returns the extended slice; it
-// sorts ids in place. A nil dst gets an empty, non-nil vector when ids
-// is empty, as Vectorize has always returned.
-func appendCounts(dst Vector, ids []int) Vector {
+// countVector returns the count vector of vocabulary ids (in any
+// order, repeats allowed), sorting ids in place. An empty ids gives an
+// empty, non-nil vector, as Vectorize has always returned.
+func countVector(ids []int) Vector {
 	// Sorting the ids puts repeats side by side: each run is one term
 	// whose weight is the run length.
 	slices.Sort(ids)
@@ -91,11 +90,7 @@ func appendCounts(dst Vector, ids []int) Vector {
 			terms++
 		}
 	}
-	if dst == nil {
-		dst = make(Vector, 0, terms)
-	} else {
-		dst = slices.Grow(dst, terms)
-	}
+	dst := make(Vector, 0, terms)
 	for i := 0; i < len(ids); {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[i] {

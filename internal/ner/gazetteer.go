@@ -1,9 +1,8 @@
 package ner
 
 import (
-	"strings"
-
 	"etap/internal/gazetteer"
+	"etap/internal/textproc"
 )
 
 // phraseTable indexes multi-token gazetteer phrases by their lower-cased
@@ -18,7 +17,7 @@ type phraseTable struct {
 func newPhraseTable(cat Category, phrases []string) *phraseTable {
 	t := &phraseTable{byFirst: make(map[string][][]string), cat: cat}
 	for _, p := range phrases {
-		toks := strings.Fields(strings.ToLower(p))
+		toks := gazetteer.PhraseWords(p)
 		if len(toks) == 0 {
 			continue
 		}
@@ -36,57 +35,26 @@ func newPhraseTable(cat Category, phrases []string) *phraseTable {
 	return t
 }
 
-// match reports the number of tokens matched starting at lowered[i]
-// (0 if none). lowered holds the lower-cased surface forms.
-func (t *phraseTable) match(lowered []string, i int) int {
-	cands, ok := t.byFirst[lowered[i]]
+// match reports the number of tokens matched starting at words[i] (0
+// if none), comparing the tokens' lower-cased forms.
+func (t *phraseTable) match(words []*textproc.Word, i int) int {
+	cands, ok := t.byFirst[words[i].Lower]
 	if !ok {
 		return 0
 	}
 outer:
 	for _, cand := range cands {
-		if i+len(cand) > len(lowered) {
+		if i+len(cand) > len(words) {
 			continue
 		}
 		for j := 1; j < len(cand); j++ {
-			if lowered[i+j] != cand[j] {
+			if words[i+j].Lower != cand[j] {
 				continue outer
 			}
 		}
 		return len(cand)
 	}
 	return 0
-}
-
-// wordBits is the set of gazetteer roles a lower-cased word plays: one
-// bit per word set, plus one bit per phrase table with a phrase that
-// starts with the word.
-type wordBits uint16
-
-const (
-	knownOrg          wordBits = 1 << iota // full org name ("ibm")
-	companyCore                            // single-token company core
-	orgSuffix                              // corporate suffix ("inc")
-	firstName                              // given name
-	lastName                               // surname
-	month                                  // month name
-	weekday                                // weekday name
-	magnitude                              // "million", "billion", ...
-	currencyWord                           // "dollars", "euros", ...
-	startsDesignation                      // first word of a designation phrase
-	startsPlace                            // first word of a place phrase
-	startsProduct                          // first word of a product phrase
-	startsObject                           // first word of an object phrase
-	startsLengthUnit                       // first word of a length-unit phrase
-)
-
-// magnitudes and currencyWords are the recognizer's own word lists for
-// currency amounts ("5 million dollars"); they feed the magnitude and
-// currencyWord bits.
-var magnitudes = []string{"million", "billion", "trillion", "thousand", "crore", "lakh"}
-
-var currencyWords = []string{
-	"dollars", "dollar", "euros", "euro", "pounds", "rupees", "yen", "usd", "cents",
 }
 
 // gazetteers bundles every lookup structure the recognizer needs.
@@ -96,54 +64,17 @@ type gazetteers struct {
 	products     *phraseTable
 	objects      *phraseTable
 	lengthUnits  *phraseTable
-
-	// words maps a lower-cased word to every role it plays, so the
-	// recognizer probes one map once per token position instead of
-	// one map per role; a phrase table is probed only when the word's
-	// bit says one of its phrases starts there.
-	words map[string]wordBits
 }
 
+// defaultGazetteers builds the phrase tables. A phrase table is probed
+// only where a token's gazetteer roles (textproc.Word.Roles) say one of
+// its phrases starts.
 func defaultGazetteers() *gazetteers {
-	g := &gazetteers{
+	return &gazetteers{
 		designations: newPhraseTable(DESIG, gazetteer.Designations),
 		places:       newPhraseTable(PLC, gazetteer.Places),
 		products:     newPhraseTable(PROD, gazetteer.Products),
 		objects:      newPhraseTable(OBJ, gazetteer.Objects),
 		lengthUnits:  newPhraseTable(LNGTH, gazetteer.LengthUnits),
-		words:        make(map[string]wordBits),
 	}
-	for _, set := range []struct {
-		bit   wordBits
-		words []string
-	}{
-		{knownOrg, gazetteer.KnownOrgs},
-		{companyCore, gazetteer.CompanyCores},
-		{orgSuffix, gazetteer.CompanySuffixes},
-		{firstName, gazetteer.FirstNames},
-		{lastName, gazetteer.LastNames},
-		{month, gazetteer.Months},
-		{weekday, gazetteer.Weekdays},
-		{magnitude, magnitudes},
-		{currencyWord, currencyWords},
-	} {
-		for _, w := range set.words {
-			g.words[strings.ToLower(w)] |= set.bit
-		}
-	}
-	for _, t := range []struct {
-		bit   wordBits
-		table *phraseTable
-	}{
-		{startsDesignation, g.designations},
-		{startsPlace, g.places},
-		{startsProduct, g.products},
-		{startsObject, g.objects},
-		{startsLengthUnit, g.lengthUnits},
-	} {
-		for first := range t.table.byFirst {
-			g.words[first] |= t.bit
-		}
-	}
-	return g
 }

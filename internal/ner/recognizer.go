@@ -3,8 +3,8 @@ package ner
 import (
 	"hash/fnv"
 	"strconv"
-	"unicode"
 
+	"etap/internal/gazetteer"
 	"etap/internal/textproc"
 )
 
@@ -52,28 +52,26 @@ func NewRecognizer(opts ...Option) *Recognizer {
 // "$5 million" is CURRENCY rather than a CNT followed by words. Without
 // the source text, every multi-token entity's text is joined afresh.
 func (r *Recognizer) Recognize(tokens []textproc.Token) []Entity {
-	return r.AppendEntities(nil, "", tokens, textproc.Lowered(tokens))
-}
-
-// RecognizeLowered is Recognize for a caller that has already
-// lower-cased every token, as textproc.Lowered does: lowered[i] must be
-// strings.ToLower(tokens[i].Text).
-func (r *Recognizer) RecognizeLowered(tokens []textproc.Token, lowered []string) []Entity {
-	return r.AppendEntities(nil, "", tokens, lowered)
+	words := make([]*textproc.Word, len(tokens))
+	for i, t := range tokens {
+		words[i] = textproc.Lookup(t.Text)
+	}
+	return r.AppendEntities(nil, "", tokens, words)
 }
 
 // AppendEntities appends the entities Recognize finds in tokens to dst
 // and returns the extended slice, so a caller that reuses one buffer
-// recognizes without allocating for it. lowered[i] must be
-// strings.ToLower(tokens[i].Text). text is the source the tokens were
-// cut from, or "": an entity whose tokens are separated by single
-// spaces there takes its Text as a slice of text instead of a joined
-// copy. The annotator lower-cases each snippet's tokens once and shares
-// them with the part-of-speech tagger.
-func (r *Recognizer) AppendEntities(dst []Entity, text string, tokens []textproc.Token, lowered []string) []Entity {
+// recognizes without allocating for it. words[i] must be the word-table
+// entry of tokens[i].Text (textproc.Lookup): the matchers read each
+// token's lower-cased form, capitalization and gazetteer roles there.
+// text is the source the tokens were cut from, or "": an entity whose
+// tokens are separated by single spaces there takes its Text as a
+// slice of text instead of a joined copy. The annotator looks each
+// token up once and shares the entries with the part-of-speech tagger.
+func (r *Recognizer) AppendEntities(dst []Entity, text string, tokens []textproc.Token, words []*textproc.Word) []Entity {
 	i := 0
 	for i < len(tokens) {
-		cat, span := r.matchAt(tokens, lowered, i)
+		cat, span := r.matchAt(tokens, words, i)
 		if span == 0 {
 			i++
 			continue
@@ -96,8 +94,10 @@ func (r *Recognizer) AppendEntities(dst []Entity, text string, tokens []textproc
 
 // RecognizeText tokenizes and recognizes in one call.
 func (r *Recognizer) RecognizeText(text string) []Entity {
-	tokens := textproc.Tokenize(text)
-	return r.AppendEntities(nil, text, tokens, textproc.Lowered(tokens))
+	sc := textproc.GetScratch()
+	defer sc.Release()
+	tokens := sc.Tokenize(text)
+	return r.AppendEntities(nil, text, tokens, sc.Lookup())
 }
 
 // dropped implements deterministic error injection.
@@ -118,23 +118,22 @@ func (r *Recognizer) dropped(e Entity) bool {
 }
 
 // matchAt tries every matcher at position i, highest priority first.
-// The gazetteer map is probed once for the word at i; matchers look
-// further ahead only after cheaper tests pass.
-func (r *Recognizer) matchAt(tokens []textproc.Token, lowered []string, i int) (Category, int) {
-	b := r.gaz.words[lowered[i]]
-	if span := r.matchCurrency(tokens, lowered, i); span > 0 {
+// Matchers look further ahead only after cheaper tests pass.
+func (r *Recognizer) matchAt(tokens []textproc.Token, words []*textproc.Word, i int) (Category, int) {
+	b := words[i].Roles
+	if span := r.matchCurrency(tokens, words, i); span > 0 {
 		return CURRENCY, span
 	}
-	if span := r.matchPercent(tokens, lowered, i); span > 0 {
+	if span := r.matchPercent(tokens, words, i); span > 0 {
 		return PRCNT, span
 	}
-	if span := r.matchLength(tokens, lowered, i); span > 0 {
+	if span := r.matchLength(tokens, words, i); span > 0 {
 		return LNGTH, span
 	}
-	if span := r.matchTime(tokens, lowered, i); span > 0 {
+	if span := r.matchTime(tokens, words, i); span > 0 {
 		return TIM, span
 	}
-	if span := r.matchPeriod(tokens, lowered, i, b); span > 0 {
+	if span := r.matchPeriod(tokens, words, i); span > 0 {
 		return PERIOD, span
 	}
 	if span := r.matchYear(tokens, i); span > 0 {
@@ -143,29 +142,29 @@ func (r *Recognizer) matchAt(tokens []textproc.Token, lowered []string, i int) (
 	if span := r.matchCount(tokens, i); span > 0 {
 		return CNT, span
 	}
-	if b&startsDesignation != 0 {
-		if span := r.gaz.designations.match(lowered, i); span > 0 {
+	if b&gazetteer.StartsDesignation != 0 {
+		if span := r.gaz.designations.match(words, i); span > 0 {
 			return DESIG, span
 		}
 	}
-	if span := r.matchOrg(tokens, lowered, i, b); span > 0 {
+	if span := r.matchOrg(tokens, words, i); span > 0 {
 		return ORG, span
 	}
-	if b&startsProduct != 0 {
-		if span := r.gaz.products.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
+	if b&gazetteer.StartsProduct != 0 {
+		if span := r.gaz.products.match(words, i); span > 0 && words[i].Cap {
 			return PROD, span
 		}
 	}
-	if b&startsObject != 0 {
-		if span := r.gaz.objects.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
+	if b&gazetteer.StartsObject != 0 {
+		if span := r.gaz.objects.match(words, i); span > 0 && words[i].Cap {
 			return OBJ, span
 		}
 	}
-	if span := r.matchPerson(tokens, lowered, i, b); span > 0 {
+	if span := r.matchPerson(tokens, words, i); span > 0 {
 		return PRSN, span
 	}
-	if b&startsPlace != 0 {
-		if span := r.gaz.places.match(lowered, i); span > 0 && isCap(tokens[i].Text) {
+	if b&gazetteer.StartsPlace != 0 {
+		if span := r.gaz.places.match(words, i); span > 0 && words[i].Cap {
 			return PLC, span
 		}
 	}
@@ -184,13 +183,13 @@ func isCurrencySymbol(s string) bool {
 
 // matchCurrency matches "$5", "$5.2 million", "5 million dollars",
 // "160 million USD".
-func (r *Recognizer) matchCurrency(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchCurrency(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	n := len(tokens)
 	// Symbol-led: $ NUMBER [magnitude]
 	if isCurrencySymbol(tokens[i].Text) {
 		if i+1 < n && tokens[i+1].IsNumber() {
 			span := 2
-			if i+2 < n && r.gaz.words[lowered[i+2]]&magnitude != 0 {
+			if i+2 < n && words[i+2].Roles&gazetteer.Magnitude != 0 {
 				span = 3
 			}
 			return span
@@ -200,10 +199,10 @@ func (r *Recognizer) matchCurrency(tokens []textproc.Token, lowered []string, i 
 	// Number-led: NUMBER [magnitude] currencyWord
 	if tokens[i].IsNumber() {
 		j := i + 1
-		if j < n && r.gaz.words[lowered[j]]&magnitude != 0 {
+		if j < n && words[j].Roles&gazetteer.Magnitude != 0 {
 			j++
 		}
-		if j < n && r.gaz.words[lowered[j]]&currencyWord != 0 {
+		if j < n && words[j].Roles&gazetteer.CurrencyWord != 0 {
 			return j - i + 1
 		}
 	}
@@ -211,7 +210,7 @@ func (r *Recognizer) matchCurrency(tokens []textproc.Token, lowered []string, i 
 }
 
 // matchPercent matches "10%", "10 percent", "3.5 percentage points".
-func (r *Recognizer) matchPercent(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchPercent(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	if !tokens[i].IsNumber() {
 		return 0
 	}
@@ -220,10 +219,10 @@ func (r *Recognizer) matchPercent(tokens []textproc.Token, lowered []string, i i
 		switch {
 		case tokens[i+1].Text == "%":
 			return 2
-		case lowered[i+1] == "percent" || lowered[i+1] == "pct":
+		case words[i+1].Lower == "percent" || words[i+1].Lower == "pct":
 			return 2
-		case lowered[i+1] == "percentage" && i+2 < n &&
-			(lowered[i+2] == "points" || lowered[i+2] == "point"):
+		case words[i+1].Lower == "percentage" && i+2 < n &&
+			(words[i+2].Lower == "points" || words[i+2].Lower == "point"):
 			return 3
 		}
 	}
@@ -231,24 +230,24 @@ func (r *Recognizer) matchPercent(tokens []textproc.Token, lowered []string, i i
 }
 
 // matchLength matches "500 square feet", "2 terabytes".
-func (r *Recognizer) matchLength(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchLength(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	if !tokens[i].IsNumber() {
 		return 0
 	}
 	if i+1 >= len(tokens) {
 		return 0
 	}
-	if r.gaz.words[lowered[i+1]]&startsLengthUnit == 0 {
+	if words[i+1].Roles&gazetteer.StartsLengthUnit == 0 {
 		return 0
 	}
-	if span := r.gaz.lengthUnits.match(lowered, i+1); span > 0 {
+	if span := r.gaz.lengthUnits.match(words, i+1); span > 0 {
 		return 1 + span
 	}
 	return 0
 }
 
 // matchTime matches "3:30", "3:30 pm", "9 am", "9 a.m".
-func (r *Recognizer) matchTime(tokens []textproc.Token, lowered []string, i int) int {
+func (r *Recognizer) matchTime(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	n := len(tokens)
 	if !tokens[i].IsNumber() {
 		return 0
@@ -256,13 +255,13 @@ func (r *Recognizer) matchTime(tokens []textproc.Token, lowered []string, i int)
 	// NUMBER : NUMBER [am|pm]
 	if i+2 < n && tokens[i+1].Text == ":" && tokens[i+2].IsNumber() {
 		span := 3
-		if i+3 < n && isMeridiem(lowered[i+3]) {
+		if i+3 < n && isMeridiem(words[i+3].Lower) {
 			span++
 		}
 		return span
 	}
 	// NUMBER am|pm
-	if i+1 < n && isMeridiem(lowered[i+1]) {
+	if i+1 < n && isMeridiem(words[i+1].Lower) {
 		return 2
 	}
 	return 0
@@ -279,11 +278,11 @@ func isMeridiem(w string) bool {
 // matchPeriod matches calendar expressions: "January 12, 2004",
 // "January 2004", "January", "Monday", "Q4", "fourth quarter",
 // "first half", "last year", "next quarter", "previous quarter".
-func (r *Recognizer) matchPeriod(tokens []textproc.Token, lowered []string, i int, b wordBits) int {
+func (r *Recognizer) matchPeriod(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	n := len(tokens)
-	w := lowered[i]
+	w := words[i].Lower
 
-	if b&month != 0 && isCap(tokens[i].Text) {
+	if words[i].Roles&gazetteer.Month != 0 && words[i].Cap {
 		span := 1
 		j := i + 1
 		// optional day number
@@ -302,7 +301,7 @@ func (r *Recognizer) matchPeriod(tokens []textproc.Token, lowered []string, i in
 		}
 		return span
 	}
-	if b&weekday != 0 && isCap(tokens[i].Text) {
+	if words[i].Roles&gazetteer.Weekday != 0 && words[i].Cap {
 		return 1
 	}
 	// Q1..Q4, optionally followed by a year ("Q4 2004").
@@ -313,14 +312,14 @@ func (r *Recognizer) matchPeriod(tokens []textproc.Token, lowered []string, i in
 		return 1
 	}
 	// ordinal quarter/half: "fourth quarter", "first half"
-	if isOrdinal(w) && i+1 < n && (lowered[i+1] == "quarter" || lowered[i+1] == "half") {
+	if isOrdinal(w) && i+1 < n && (words[i+1].Lower == "quarter" || words[i+1].Lower == "half") {
 		return 2
 	}
 	// relative periods: "last year", "this quarter", "next month",
 	// "previous quarter" — PERIOD expressions the ranking component's
 	// time resolver consumes.
 	if (w == "last" || w == "next" || w == "previous" || w == "this") && i+1 < n {
-		switch lowered[i+1] {
+		switch words[i+1].Lower {
 		case "year", "quarter", "month", "week":
 			return 2
 		}
@@ -367,39 +366,40 @@ func (r *Recognizer) matchCount(tokens []textproc.Token, i int) int {
 //  2. one or two capitalized tokens followed by a corporate suffix
 //     ("Brellvane Inc", "Silverlake Capital Group" — suffix run absorbed);
 //  3. a bare gazetteer company core ("Halcyon").
-func (r *Recognizer) matchOrg(tokens []textproc.Token, lowered []string, i int, b wordBits) int {
+func (r *Recognizer) matchOrg(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	n := len(tokens)
-	if b&knownOrg != 0 && isCap(tokens[i].Text) {
+	b := words[i].Roles
+	if b&gazetteer.KnownOrg != 0 && words[i].Cap {
 		return 1
 	}
-	if !isCap(tokens[i].Text) || !tokens[i].IsWord() {
+	if !words[i].Cap || !tokens[i].IsWord() {
 		return 0
 	}
 	// Sentence-initial function words are capitalized but never part of
 	// an organization name.
-	switch lowered[i] {
+	switch words[i].Lower {
 	case "the", "a", "an", "this", "that", "these", "those", "its",
 		"his", "her", "their", "our", "your", "my":
 		return 0
 	}
 	// Capitalized run followed by suffix token(s).
 	j := i
-	for j < n && tokens[j].IsWord() && isCap(tokens[j].Text) && j-i < 3 {
-		if j > i && r.gaz.words[lowered[j]]&orgSuffix != 0 {
+	for j < n && tokens[j].IsWord() && words[j].Cap && j-i < 3 {
+		if j > i && words[j].Roles&gazetteer.OrgSuffix != 0 {
 			// absorb a second suffix ("Holdings Ltd")
 			k := j + 1
-			if k < n && tokens[k].IsWord() && r.gaz.words[lowered[k]]&orgSuffix != 0 {
+			if k < n && tokens[k].IsWord() && words[k].Roles&gazetteer.OrgSuffix != 0 {
 				k++
 			}
 			return k - i
 		}
 		j++
 	}
-	if j < n && j > i && j-i <= 3 && tokens[j].IsWord() && r.gaz.words[lowered[j]]&orgSuffix != 0 {
+	if j < n && j > i && j-i <= 3 && tokens[j].IsWord() && words[j].Roles&gazetteer.OrgSuffix != 0 {
 		return j - i + 1
 	}
 	// Bare known core.
-	if b&companyCore != 0 {
+	if b&gazetteer.CompanyCore != 0 {
 		return 1
 	}
 	return 0
@@ -410,16 +410,16 @@ func (r *Recognizer) matchOrg(tokens []textproc.Token, lowered []string, i int, 
 //  2. FirstName [Initial.] LastName;
 //  3. FirstName + unknown capitalized token (recognizer generalization);
 //  4. bare FirstName LastName pairs from the gazetteer.
-func (r *Recognizer) matchPerson(tokens []textproc.Token, lowered []string, i int, b wordBits) int {
+func (r *Recognizer) matchPerson(tokens []textproc.Token, words []*textproc.Word, i int) int {
 	n := len(tokens)
-	if isHonorific(lowered[i]) && isCap(tokens[i].Text) {
+	if isHonorific(words[i].Lower) && words[i].Cap {
 		j := i + 1
 		// optional period after the honorific
 		if j < n && tokens[j].Text == "." {
 			j++
 		}
 		start := j
-		for j < n && j-start < 3 && tokens[j].IsWord() && isCap(tokens[j].Text) {
+		for j < n && j-start < 3 && tokens[j].IsWord() && words[j].Cap {
 			j++
 			// skip initial periods: "Mr. J. Smith"
 			if j < n && tokens[j].Text == "." && j-1 >= start && len(tokens[j-1].Text) == 1 {
@@ -432,21 +432,21 @@ func (r *Recognizer) matchPerson(tokens []textproc.Token, lowered []string, i in
 		return 0
 	}
 
-	if b&firstName == 0 || !isCap(tokens[i].Text) {
+	if words[i].Roles&gazetteer.FirstName == 0 || !words[i].Cap {
 		return 0
 	}
 	j := i + 1
 	// optional middle initial: "James R. Smith"
 	if j+1 < n && tokens[j].IsWord() && len(tokens[j].Text) == 1 &&
-		isCap(tokens[j].Text) && tokens[j+1].Text == "." {
+		words[j].Cap && tokens[j+1].Text == "." {
 		j += 2
 	}
-	if j < n && tokens[j].IsWord() && isCap(tokens[j].Text) {
+	if j < n && tokens[j].IsWord() && words[j].Cap {
 		// Known surname, or any unknown capitalized token that is not
 		// itself an org/place/etc. (generalization with realistic
 		// over-triggering).
-		if lb := r.gaz.words[lowered[j]]; lb&lastName != 0 ||
-			lb&(knownOrg|companyCore|orgSuffix|month) == 0 {
+		if lb := words[j].Roles; lb&gazetteer.LastName != 0 ||
+			lb&(gazetteer.KnownOrg|gazetteer.CompanyCore|gazetteer.OrgSuffix|gazetteer.Month) == 0 {
 			return j - i + 1
 		}
 	}
@@ -457,13 +457,6 @@ func isHonorific(w string) bool {
 	switch w {
 	case "mr", "mrs", "ms", "dr", "prof":
 		return true
-	}
-	return false
-}
-
-func isCap(s string) bool {
-	for _, r := range s {
-		return unicode.IsUpper(r)
 	}
 	return false
 }

@@ -265,8 +265,11 @@ func TestAppendEntitiesSlicesSpacedText(t *testing.T) {
 	r := NewRecognizer()
 	const text = "Acme Holdings Ltd named Mary Smith chief executive officer in New York"
 	tokens := textproc.Tokenize(text)
-	lowered := textproc.Lowered(tokens)
-	buf := r.AppendEntities(nil, text, tokens, lowered)
+	words := make([]*textproc.Word, len(tokens))
+	for i, tok := range tokens {
+		words[i] = textproc.Lookup(tok.Text)
+	}
+	buf := r.AppendEntities(nil, text, tokens, words)
 	if len(buf) < 3 {
 		t.Fatalf("found %d entities in %q, want at least 3: %+v", len(buf), text, buf)
 	}
@@ -276,7 +279,7 @@ func TestAppendEntitiesSlicesSpacedText(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		buf = r.AppendEntities(buf[:0], text, tokens, lowered)
+		buf = r.AppendEntities(buf[:0], text, tokens, words)
 	}); allocs != 0 {
 		t.Errorf("a warmed AppendEntities allocated %v times, want 0", allocs)
 	}

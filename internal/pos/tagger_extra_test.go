@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"etap/internal/postag"
 	"etap/internal/textproc"
 )
 
@@ -73,8 +74,8 @@ func TestSuffixGuesses(t *testing.T) {
 		"dunkest":         TagJJS, // -est
 	}
 	for w, want := range cases {
-		if got := suffixGuess(w); got != want {
-			t.Errorf("suffixGuess(%q) = %q, want %q", w, got, want)
+		if got := postag.SuffixGuess(w); got != want {
+			t.Errorf("SuffixGuess(%q) = %q, want %q", w, got, want)
 		}
 	}
 }

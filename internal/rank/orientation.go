@@ -41,8 +41,7 @@ const maxPhraseLen = 3
 // weights of matched phrases, longest match first (so "sharp decline"
 // consumes both words and the weak "decline" entry does not double
 // count). Matching is on lower-cased words with stemmed fallback for
-// single words. The words go into pooled scratch, and each candidate
-// phrase is built in a stack buffer rather than joined.
+// single words. The words go into pooled scratch.
 func (lx Lexicon) Score(text string) float64 {
 	sc := textproc.GetScratch()
 	defer sc.Release()
@@ -51,7 +50,14 @@ func (lx Lexicon) Score(text string) float64 {
 			sc.Words = append(sc.Words, textproc.Lower(t.Text))
 		}
 	}
-	words := sc.Words
+	return lx.ScoreWords(sc.Words)
+}
+
+// ScoreWords is Score over a snippet's word tokens, lower-cased, in
+// order: the scoring kernel passes the words annotation already
+// lower-cased. Each candidate phrase is built in a stack buffer rather
+// than joined.
+func (lx Lexicon) ScoreWords(words []string) float64 {
 	var buf [64]byte
 	score := 0.0
 	for i := 0; i < len(words); {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 // kernelSeeds are inputs the differential fuzz targets start from, on
@@ -22,6 +24,48 @@ var kernelSeeds = []string{
 	"a\xe2\x82\xac\xac.b \xff. C",
 	"é. É. İntl. Ünïcödé tèxt — em-dash. ‘Quoted’ “twice”.",
 	"\x00\x01 control\v\f chars nbsp line.",
+	asciiBytes(),
+}
+
+// asciiBytes is every byte below utf8.RuneSelf, in order, each after a
+// letter and after a digit, so the tokenizer's and the splitter's byte
+// classes all meet the rules that branch on them.
+func asciiBytes() string {
+	var b strings.Builder
+	for c := 0; c < utf8.RuneSelf; c++ {
+		b.WriteString("a")
+		b.WriteByte(byte(c))
+		b.WriteString(" 1")
+		b.WriteByte(byte(c))
+		b.WriteString("2 ")
+	}
+	return b.String()
+}
+
+// TestRuneClassesMatchUnicode checks the tokenizer's class tests, a
+// table load below utf8.RuneSelf, against the unicode predicates they
+// stand for on every rune up to U+FFFF and a sample above it.
+func TestRuneClassesMatchUnicode(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if r > 0xffff && r%97 != 0 {
+			continue
+		}
+		for _, c := range []struct {
+			name     string
+			got, ref bool
+		}{
+			{"isSpace", isSpace(r), unicode.IsSpace(r)},
+			{"isLetter", isLetter(r), unicode.IsLetter(r)},
+			{"isDigit", isDigit(r), unicode.IsDigit(r)},
+			{"isLetterOrDigit", isLetterOrDigit(r), unicode.IsLetter(r) || unicode.IsDigit(r)},
+			{"isUpper", isUpper(r), unicode.IsUpper(r)},
+			{"isSymbol", isSymbol(r), isSymbolRune(r)},
+		} {
+			if c.got != c.ref {
+				t.Fatalf("%s(%U) = %v, want %v", c.name, r, c.got, c.ref)
+			}
+		}
+	}
 }
 
 func FuzzTokenizeMatchesReference(f *testing.F) {
@@ -39,17 +83,23 @@ func FuzzTokenizeMatchesReference(f *testing.F) {
 		if got := AppendTokens(prefix, s); !reflect.DeepEqual(got, append(prefix[:1:1], want...)) {
 			t.Fatalf("AppendTokens(%+v, %q)\n got  %+v\n want %+v", prefix, s, got, want)
 		}
-		// A scratch that held a longer text tokenizes and lower-cases
-		// exactly as the allocating entry points do.
+		// A scratch that held a longer text tokenizes exactly as the
+		// allocating entry points do, and looks up each token's entry.
 		sc := GetScratch()
 		defer sc.Release()
 		sc.Tokenize(strings.Repeat("Acme named a new CEO. ", 8))
-		sc.Lowered()
+		sc.Lookup()
 		if got := sc.Tokenize(s); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 			t.Fatalf("Scratch.Tokenize(%q)\n got  %+v\n want %+v", s, got, want)
 		}
-		if got, want := sc.Lowered(), Lowered(want); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-			t.Fatalf("Scratch.Lowered over %q = %q, want %q", s, got, want)
+		entries := sc.Lookup()
+		if len(entries) != len(want) {
+			t.Fatalf("Scratch.Lookup over %q: %d entries for %d tokens", s, len(entries), len(want))
+		}
+		for i, e := range entries {
+			if e.word != want[i].Text || e.Lower != strings.ToLower(want[i].Text) {
+				t.Fatalf("Scratch.Lookup over %q: entry %d is %+v for token %q", s, i, e, want[i].Text)
+			}
 		}
 	})
 }
@@ -60,14 +110,19 @@ func FuzzTokenizeMatchesReference(f *testing.F) {
 func TestScratchReleaseClears(t *testing.T) {
 	sc := new(Scratch)
 	sc.Tokenize("Acme Corp named a new CEO on Friday, and revenue rose 10%.")
-	sc.Lowered()
+	sc.Lookup()
 	sc.Tokenize("Short text.")
-	sc.Lowered()
+	sc.Lookup()
 	sc.Words = append(sc.Words, "appended")
 	sc.Release()
 	for i, tok := range sc.Tokens[:cap(sc.Tokens)] {
 		if tok != (Token{}) {
 			t.Errorf("Tokens[%d] = %+v after Release", i, tok)
+		}
+	}
+	for i, e := range sc.Entries[:cap(sc.Entries)] {
+		if e != nil {
+			t.Errorf("Entries[%d] = %+v after Release", i, e)
 		}
 	}
 	for i, w := range sc.Words[:cap(sc.Words)] {

@@ -20,33 +20,58 @@ func refLex(word string) Lex {
 	return Lex{Lower: lower, Stem: refStem(word), Stop: stopwords[lower]}
 }
 
-// colliders holds two generated words for every slot of the table.
-var colliders = sync.OnceValue(func() *[1 << lexBits][2]string {
-	var out [1 << lexBits][2]string
-	for i, left := 0, 2*len(out); left > 0; i++ {
+// setMates holds three generated words for every set of the table.
+var setMates = sync.OnceValue(func() *[1 << lexSetBits][3]string {
+	var out [1 << lexSetBits][3]string
+	for i, left := 0, 3*len(out); left > 0; i++ {
 		w := "q" + strconv.Itoa(i) + "x"
-		c := &out[lexSlot(w)]
-		if c[0] == "" {
-			c[0] = w
-			left--
-		} else if c[1] == "" {
-			c[1] = w
-			left--
+		for k, c := range &out[lexSet(w)] {
+			if c == "" {
+				out[lexSet(w)][k] = w
+				left--
+				break
+			}
 		}
 	}
 	return &out
 })
 
-// collider returns a word other than word that hashes to word's slot.
-func collider(word string) string {
-	c := colliders()[lexSlot(word)]
-	if c[0] != word {
-		return c[0]
+// colliders returns two words other than word in word's set.
+func colliders(word string) (string, string) {
+	var out []string
+	for _, w := range setMates()[lexSet(word)] {
+		if w != word {
+			out = append(out, w)
+		}
 	}
-	return c[1]
+	return out[0], out[1]
 }
 
-// checkLex compares every entry point of the table against refLex.
+// collider returns a word other than word in word's set.
+func collider(word string) string {
+	c, _ := colliders(word)
+	return c
+}
+
+// emptySet drops every entry of word's set.
+func emptySet(word string) {
+	for k := range lexTable[lexSet(word)] {
+		lexTable[lexSet(word)][k].Store(nil)
+	}
+}
+
+// resident reports whether word's set holds word's entry.
+func resident(word string) bool {
+	for k := range lexTable[lexSet(word)] {
+		if e := lexTable[lexSet(word)][k].Load(); e != nil && e.word == word {
+			return true
+		}
+	}
+	return false
+}
+
+// checkLex compares every entry point of the table against refLex, and
+// the whole entry against one computed afresh.
 func checkLex(t *testing.T, when, word string) {
 	t.Helper()
 	want := refLex(word)
@@ -62,11 +87,15 @@ func checkLex(t *testing.T, when, word string) {
 	if got := IsStopword(word); got != want.Stop {
 		t.Fatalf("%s: IsStopword(%q) = %v, want %v", when, word, got, want.Stop)
 	}
+	if got, fresh := *Lookup(word), *newWord(word); got != fresh {
+		t.Fatalf("%s: Lookup(%q) = %+v, want %+v", when, word, got, fresh)
+	}
 }
 
 // FuzzLexMatchesReference checks the word table against the functions
-// it replaced: on a miss (an empty slot), on a hit, and after a
-// colliding word took the slot.
+// it replaced: on a miss (an empty set), on a hit, after one other
+// word of the set arrived (the word stays) and after a second did (the
+// word was dropped).
 func FuzzLexMatchesReference(f *testing.F) {
 	for _, s := range []string{
 		"", "a", "The", "THE", "running", "Acquisitions", "İntl", "café",
@@ -76,50 +105,69 @@ func FuzzLexMatchesReference(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, word string) {
-		lexTable[lexSlot(word)].Store(nil)
+		emptySet(word)
 		checkLex(t, "miss", word)
 		checkLex(t, "hit", word)
-		c := collider(word)
-		checkLex(t, "colliding word", c)
-		checkLex(t, "after a collision", word)
+		c1, c2 := colliders(word)
+		checkLex(t, "one colliding word", c1)
+		checkLex(t, "after one collision", word)
+		checkLex(t, "another colliding word", c2)
+		checkLex(t, "after two collisions", word)
 	})
 }
 
-// TestLexTableHoldsCollidingWords pins the table's replacement rule: a
-// word that finds another in its slot is computed afresh and takes the
-// slot, and the evicted word is computed afresh when it comes back.
+// TestLexTableHoldsCollidingWords pins the table's replacement rule:
+// a word new to its set takes way 0 and moves way 0's word to way 1,
+// so a word survives one other word of its set and is computed afresh
+// after two. Two words of one set used in turn both stay resident.
 func TestLexTableHoldsCollidingWords(t *testing.T) {
 	word := "acquisitions"
-	c := collider(word)
+	c1, c2 := colliders(word)
+	emptySet(word)
 	Normalize(word)
-	if e := lexTable[lexSlot(word)].Load(); e == nil || e.word != word {
-		t.Fatalf("slot holds %+v after normalizing %q", e, word)
+	Normalize(c1)
+	if !resident(word) || !resident(c1) {
+		t.Fatalf("after %q and the colliding %q the set holds %+v", word, c1, &lexTable[lexSet(word)])
 	}
-	Normalize(c)
-	if e := lexTable[lexSlot(word)].Load(); e == nil || e.word != c {
-		t.Fatalf("slot holds %+v after normalizing the colliding %q", e, c)
+	Normalize(c2)
+	if resident(word) || !resident(c1) || !resident(c2) {
+		t.Fatalf("after a second colliding word %q the set holds %+v", c2, &lexTable[lexSet(word)])
 	}
 	checkLex(t, "evicted", word)
+
+	// Two words of one set alternating: each is computed once, then
+	// found by every later lookup, so the entries never change.
+	emptySet(word)
+	first, second := Lookup(word), Lookup(c1)
+	for i := 0; i < 1000; i++ {
+		if Lookup(word) != first || Lookup(c1) != second {
+			t.Fatalf("round %d: an alternating word was computed afresh", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Lookup(word); Lookup(c1) }); allocs != 0 {
+		t.Errorf("alternating two words of one set allocated %v times, want 0", allocs)
+	}
+
 	long := strings.Repeat("x", maxLexWord+1)
-	lexTable[lexSlot(long)].Store(nil)
+	emptySet(long)
 	checkLex(t, "too long to keep", long)
-	if e := lexTable[lexSlot(long)].Load(); e != nil {
-		t.Fatalf("a %d-byte word was kept: %+v", len(long), e)
+	if resident(long) {
+		t.Fatalf("a %d-byte word was kept", len(long))
 	}
 }
 
 // TestLexSlotsSpreadOneByteWords checks that every one-byte word, the
-// punctuation and digits every text is full of, has a slot of its own,
+// punctuation and digits every text is full of, has a set of its own,
 // so they never evict each other. The top bits of the hash would put
-// "," and "." in one slot.
+// "," and "." in one set.
 func TestLexSlotsSpreadOneByteWords(t *testing.T) {
 	seen := map[uint64]int{}
 	for c := 0; c < 256; c++ {
-		slot := lexSlot(string([]byte{byte(c)}))
-		if prev, ok := seen[slot]; ok {
-			t.Fatalf("bytes %#x and %#x share slot %d", prev, c, slot)
+		set := lexSet(string([]byte{byte(c)}))
+		if prev, ok := seen[set]; ok {
+			t.Fatalf("bytes %#x and %#x share set %d", prev, c, set)
 		}
-		seen[slot] = c
+		seen[set] = c
 	}
 }
 
@@ -146,13 +194,14 @@ func TestToLowerIdempotent(t *testing.T) {
 }
 
 // TestLexConcurrentCollidingWords has goroutines normalize overlapping
-// word streams in different orders, including words that collide in
-// one slot, and checks every answer. Run it under -race: each slot is
-// loaded and replaced concurrently.
+// word streams in different orders, including three words of one set
+// for several sets, and checks every answer. Run it under -race: each
+// set's ways are loaded and replaced concurrently.
 func TestLexConcurrentCollidingWords(t *testing.T) {
 	words := []string{"Acquired", "acquisitions", "the", "CEO", "growth", "İntl", "café", "1,200"}
 	for _, w := range words[:4] {
-		words = append(words, collider(w), collider(collider(w)))
+		c1, c2 := colliders(w)
+		words = append(words, c1, c2)
 	}
 	want := make([]Lex, len(words))
 	for i, w := range words {
@@ -174,6 +223,10 @@ func TestLexConcurrentCollidingWords(t *testing.T) {
 					t.Errorf("goroutine %d: Stem(%q) = %q", g, words[(i+1)%len(words)], got)
 					return
 				}
+				if e := Lookup(words[(i+2)%len(words)]); e.Lex != want[(i+2)%len(words)] || e.word != words[(i+2)%len(words)] {
+					t.Errorf("goroutine %d: Lookup(%q) = %+v", g, words[(i+2)%len(words)], e)
+					return
+				}
 			}
 		}(g)
 	}
@@ -192,7 +245,7 @@ func TestLexDoesNotPinPage(t *testing.T) {
 		page := strings.Repeat("unpinnedness ", 1<<14)
 		runtime.SetFinalizer(unsafe.StringData(page), func(*byte) { released.Store(true) })
 		word := page[13:25]
-		lexTable[lexSlot(word)].Store(nil)
+		emptySet(word)
 		kept, lower, stem = Normalize(word), Lower(word), Stem(word)
 	}()
 	deadline := time.Now().Add(10 * time.Second)

@@ -2,7 +2,6 @@ package textproc
 
 import (
 	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -117,7 +116,7 @@ func AppendSentences(dst []Sentence, text string) []Sentence {
 			if i > 0 && i+1 < n {
 				prev, _ := utf8.DecodeLastRuneInString(text[:i])
 				next, _ := decodeRune(text, i+1)
-				if unicode.IsDigit(prev) && unicode.IsDigit(next) {
+				if isDigit(prev) && isDigit(next) {
 					i++
 					continue
 				}
@@ -143,7 +142,7 @@ func AppendSentences(dst []Sentence, text string) []Sentence {
 		}
 
 		// Must be followed by whitespace (or end of text).
-		if j < n && !unicode.IsSpace(r) {
+		if j < n && !isSpace(r) {
 			i = j
 			continue
 		}
@@ -152,12 +151,12 @@ func AppendSentences(dst []Sentence, text string) []Sentence {
 		for k < n {
 			var w int
 			r, w = decodeRune(text, k)
-			if !unicode.IsSpace(r) {
+			if !isSpace(r) {
 				break
 			}
 			k += w
 		}
-		if k < n && !unicode.IsUpper(r) && !unicode.IsDigit(r) &&
+		if k < n && !isUpper(r) && !isDigit(r) &&
 			r != '"' && r != '“' && r != '(' && r != '‘' && r != '\'' {
 			i = j
 			continue
@@ -188,12 +187,12 @@ func precedingWord(text string, end int) string {
 	j := end
 	for j > 0 {
 		r, w := utf8.DecodeLastRuneInString(text[:j])
-		if unicode.IsLetter(r) {
+		if isLetter(r) {
 			j -= w
 			continue
 		}
 		if r == '.' && j > 1 {
-			if prev, _ := utf8.DecodeLastRuneInString(text[:j-1]); unicode.IsLetter(prev) {
+			if prev, _ := utf8.DecodeLastRuneInString(text[:j-1]); isLetter(prev) {
 				j--
 				continue
 			}
@@ -214,7 +213,7 @@ func isInitial(word string) bool {
 		if r == '.' {
 			continue
 		}
-		if !unicode.IsUpper(r) {
+		if !isUpper(r) {
 			return false
 		}
 		letters++

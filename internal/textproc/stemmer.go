@@ -9,7 +9,7 @@ package textproc
 // Normalize), and the result is the table's copy: it is not a prefix
 // of the argument, so keeping a stem does not keep the text the word
 // was sliced from reachable. A repeated word's stem allocates nothing.
-func Stem(word string) string { return lookup(word).Stem }
+func Stem(word string) string { return Lookup(word).Stem }
 
 // porterStem is Stem's algorithm over an already lower-cased word.
 //

@@ -190,7 +190,7 @@ func BenchmarkStem(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
-		words := missWords(16 << lexBits)
+		words := missWords(32 << lexSetBits)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			Stem(words[i%len(words)])

@@ -43,7 +43,7 @@ var stopwords = map[string]bool{
 }
 
 // IsStopword reports whether the lower-cased form of w is a stop word.
-func IsStopword(w string) bool { return lookup(w).Stop }
+func IsStopword(w string) bool { return Lookup(w).Stop }
 
 // RemoveStopwords filters stop words out of a token slice in place order,
 // returning a new slice of the surviving words.
@@ -62,7 +62,7 @@ func RemoveStopwords(words []string) []string {
 func NormalizeWords(words []string) []string {
 	out := make([]string, 0, len(words))
 	for _, w := range words {
-		if e := lookup(w); !e.Stop {
+		if e := Lookup(w); !e.Stop {
 			out = append(out, e.Stem)
 		}
 	}

@@ -5,7 +5,9 @@
 // The pipeline mirrors the pre-processing described in Section 3.2.1 of the
 // paper: "simple operations such as changing all text to lower case,
 // stemming, and stop-word elimination". Each distinct word goes through
-// them once: a process-wide word table (Normalize) keeps its results.
+// them once: a process-wide word table (Lookup) keeps its results, with
+// the gazetteer roles and part-of-speech facts the recognizer and the
+// tagger read for each token.
 package textproc
 
 import (
@@ -66,14 +68,14 @@ func AppendTokens(tokens []Token, text string) []Token {
 		j := i + w
 		kind := KindPunct
 		switch {
-		case unicode.IsSpace(r):
+		case isSpace(r):
 			i = j
 			continue
-		case unicode.IsLetter(r):
+		case isLetter(r):
 			kind = KindWord
 			for j < n {
 				rj, wj := decodeRune(text, j)
-				if unicode.IsLetter(rj) || unicode.IsDigit(rj) {
+				if isLetterOrDigit(rj) {
 					j += wj
 					continue
 				}
@@ -81,30 +83,30 @@ func AppendTokens(tokens []Token, text string) []Token {
 				// followed by a letter: "don't", "vice-president",
 				// "U.S.A" (trailing period handled by sentence rules).
 				if (rj == '\'' || rj == '-' || rj == '.' || rj == '&') && j+1 < n {
-					if rk, wk := decodeRune(text, j+1); unicode.IsLetter(rk) {
+					if rk, wk := decodeRune(text, j+1); isLetter(rk) {
 						j += 1 + wk
 						continue
 					}
 				}
 				break
 			}
-		case unicode.IsDigit(r):
+		case isDigit(r):
 			kind = KindNumber
 			for j < n {
 				rj, wj := decodeRune(text, j)
-				if unicode.IsDigit(rj) {
+				if isDigit(rj) {
 					j += wj
 					continue
 				}
 				if (rj == ',' || rj == '.') && j+1 < n {
-					if rk, wk := decodeRune(text, j+1); unicode.IsDigit(rk) {
+					if rk, wk := decodeRune(text, j+1); isDigit(rk) {
 						j += 1 + wk
 						continue
 					}
 				}
 				break
 			}
-		case isSymbolRune(r):
+		case isSymbol(r):
 			kind = KindSymbol
 		}
 		// Token text is sliced from the source by byte offsets, so
@@ -126,6 +128,81 @@ func decodeRune(s string, i int) (rune, int) {
 	return utf8.DecodeRuneInString(s[i:])
 }
 
+// The classes of an ASCII rune, as the unicode predicates and
+// isSymbolRune give them: the tokenizer and the sentence splitter
+// classify a byte below utf8.RuneSelf with one load from asciiClass
+// and test any other rune with the predicates themselves.
+const (
+	classSpace uint8 = 1 << iota
+	classLetter
+	classDigit
+	classUpper
+	classSymbol
+)
+
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		r := rune(c)
+		for _, p := range []struct {
+			class uint8
+			is    func(rune) bool
+		}{
+			{classSpace, unicode.IsSpace},
+			{classLetter, unicode.IsLetter},
+			{classDigit, unicode.IsDigit},
+			{classUpper, unicode.IsUpper},
+			{classSymbol, isSymbolRune},
+		} {
+			if p.is(r) {
+				t[c] |= p.class
+			}
+		}
+	}
+	return t
+}()
+
+func isSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classSpace != 0
+	}
+	return unicode.IsSpace(r)
+}
+
+func isLetter(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classLetter != 0
+	}
+	return unicode.IsLetter(r)
+}
+
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classDigit != 0
+	}
+	return unicode.IsDigit(r)
+}
+
+func isLetterOrDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&(classLetter|classDigit) != 0
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+func isUpper(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classUpper != 0
+	}
+	return unicode.IsUpper(r)
+}
+
+func isSymbol(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classSymbol != 0
+	}
+	return isSymbolRune(r)
+}
+
 func isSymbolRune(r rune) bool {
 	switch r {
 	case '$', '%', '€', '£', '¥', '#', '+', '=', '<', '>', '@', '^', '~', '|':
@@ -134,27 +211,19 @@ func isSymbolRune(r rune) bool {
 	return unicode.IsSymbol(r) && r != '\''
 }
 
-// Lowered returns the lower-cased surface form of every token, in
-// token order: the slice the recognizer's and the tagger's lowered-slice
-// entry points share, so each token is lower-cased once.
-func Lowered(tokens []Token) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = Lower(t.Text)
-	}
-	return out
-}
-
-// Scratch holds reusable buffers for one text at a time: its tokens
-// and a string per token or per word, so that a caller tokenizing many
-// texts allocates nothing once the buffers have grown. Get one with
-// GetScratch and return it with Release, or keep a zero Scratch inside
-// pooled state of one's own and empty it with Reset.
+// Scratch holds reusable buffers for one text at a time: its tokens,
+// their word-table entries and a string per token or per word, so that
+// a caller tokenizing many texts allocates nothing once the buffers
+// have grown. Get one with GetScratch and return it with Release, or
+// keep a zero Scratch inside pooled state of one's own and empty it
+// with Reset.
 type Scratch struct {
 	// Tokens holds the tokens Tokenize wrote.
 	Tokens []Token
-	// Words holds the forms Lowered wrote, or any per-word strings
-	// the caller appends (the index appends its terms).
+	// Entries holds the entries Lookup wrote.
+	Entries []*Word
+	// Words holds any per-word strings the caller appends (the index
+	// appends its terms).
 	Words []string
 }
 
@@ -172,17 +241,16 @@ func (s *Scratch) Tokenize(text string) []Token {
 	return s.Tokens
 }
 
-// Lowered replaces s.Words with the lower-cased form of every token in
-// s.Tokens, exactly as the package-level Lowered returns them, and
-// returns them. They stay valid until the next change to s.Words or
-// Release.
-func (s *Scratch) Lowered() []string {
-	clear(s.Words)
-	s.Words = s.Words[:0]
+// Lookup replaces s.Entries with the word-table entry of every token
+// in s.Tokens, in token order, and returns them. They stay valid until
+// the next Lookup or Release.
+func (s *Scratch) Lookup() []*Word {
+	clear(s.Entries)
+	s.Entries = s.Entries[:0]
 	for _, t := range s.Tokens {
-		s.Words = append(s.Words, Lower(t.Text))
+		s.Entries = append(s.Entries, Lookup(t.Text))
 	}
-	return s.Words
+	return s.Entries
 }
 
 // Release empties s and returns it to the pool; s must not be used
@@ -193,12 +261,14 @@ func (s *Scratch) Release() {
 }
 
 // Reset empties s and keeps its buffers. Tokens alias the text they
-// came from, so every buffer is cleared: an emptied Scratch keeps no
+// came from, and an entry of a word too long for the word table does
+// too, so every buffer is cleared: an emptied Scratch keeps no
 // document reachable.
 func (s *Scratch) Reset() {
 	clear(s.Tokens)
+	clear(s.Entries)
 	clear(s.Words)
-	s.Tokens, s.Words = s.Tokens[:0], s.Words[:0]
+	s.Tokens, s.Entries, s.Words = s.Tokens[:0], s.Entries[:0], s.Words[:0]
 }
 
 // Words returns the lower-cased word tokens of text, dropping punctuation,
