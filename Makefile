@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-bench test race race-reads race-index race-extract bench bench-check fuzz bench-index bench-alert bench-trace doccheck examples fmt-check
+.PHONY: ci vet build lint lint-bench test race race-reads race-index race-extract bench bench-check fuzz bench-alert bench-trace doccheck examples fmt-check
 
 ci: vet build lint race
 
@@ -60,9 +60,9 @@ race-reads:
 
 # Segment-index reads decode postings into pooled scratch while
 # writers append to memtables and flushes and merges swap parts, and a
-# bulk load appends lane by lane while both engines serve searches and
-# Has, so the tests that interleave them run 10 times under the race
-# detector (about 45 s on 2 vCPUs).
+# bulk load appends lane by lane while a memory-only and a durable
+# engine serve searches and Has, so the tests that interleave them run
+# 10 times under the race detector (about 45 s on 2 vCPUs).
 race-index:
 	$(GO) test -race -count=10 -run 'TestSegmentConcurrentIngestSearchMerge|TestScratchConcurrentReaders|TestMemtableConcurrentReaders|TestBulkLoadConcurrentSearch' ./internal/index
 
@@ -100,16 +100,6 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s $$(dirname $$f); \
 		done; \
 	done
-
-# Index scaling harness: measures the segment engine against the
-# in-RAM baseline over a 50k-doc synthetic corpus — concurrent bulk add
-# at 1/2/4/8 writers, cold start (manifest re-open vs rebuild), and
-# mmap-served vs cached search — and writes the machine-readable report
-# to BENCH_index.json. Doubles as the perf regression gate: the run
-# fails if concurrent bulk add loses to sequential at any writer count
-# or segment-served rankings diverge from the in-RAM engine's.
-bench-index:
-	ETAP_BENCH_INDEX=$(CURDIR)/BENCH_index.json $(GO) test ./internal/index -count=1 -run TestIndexBenchHarness -v
 
 # Ingest-throughput harness: pushes a trigger-dense synthetic document
 # stream through the alert manager at one worker and at GOMAXPROCS

@@ -1,7 +1,7 @@
 // Command corpusgen generates the synthetic web and dumps it for
 // inspection: page statistics, a sample of documents with their
 // ground-truth sentence labels, or the whole corpus as JSON. With
-// -index it additionally builds the sharded search index over the
+// -index it additionally builds the memory-only search index over the
 // corpus and reports index statistics plus build time.
 //
 // With -kb it also generates the seed-deterministic company knowledge
@@ -34,7 +34,7 @@ func main() {
 		relevant = flag.Int("relevant", 0, "relevant docs per driver (0 = default)")
 		backgrnd = flag.Int("background", 0, "background docs (0 = default)")
 		doIndex  = flag.Bool("index", false, "build the search index and print its statistics")
-		shards   = flag.Int("index-shards", 0, "search-index shard count (0 = GOMAXPROCS)")
+		shards   = flag.Int("index-shards", 0, "search-index writer-lane count (0 = GOMAXPROCS)")
 		kbPath   = flag.String("kb", "", "generate the company knowledge base from -seed and write it as JSONL to this path")
 	)
 	flag.Parse()

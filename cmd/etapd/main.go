@@ -55,13 +55,14 @@
 // apply the same ICP at fan-out time. -tenants names the profile store
 // (JSONL), checkpointed alongside leads and subscriptions.
 //
-// Index persistence: by default the search index is rebuilt in RAM at
-// startup. With -index-dir it is backed by immutable on-disk segments
-// under that directory (format specified in STORAGE.md): a restart
-// re-opens committed segments instead of re-indexing the corpus,
-// -segment-flush-docs sets the per-writer memtable size sealed into
-// each segment, and -merge-factor the tiered background-merge fan-in.
-// Graceful shutdown flushes all in-memory batches before exit.
+// Index persistence: by default the search index is memory-only, rebuilt
+// at startup and never written to disk. With -index-dir it is backed by
+// immutable on-disk segments under that directory (format specified in
+// STORAGE.md): a restart re-opens committed segments instead of
+// re-indexing the corpus, -segment-flush-docs sets the per-writer
+// memtable size sealed into each segment, and -merge-factor the tiered
+// background-merge fan-in. Graceful shutdown flushes all in-memory
+// batches before exit.
 //
 // Lifecycle: SIGTERM or SIGINT triggers a graceful shutdown — the
 // listener stops accepting, in-flight requests drain for up to
@@ -155,9 +156,9 @@ func main() {
 		extract    = flag.Bool("extract", false, "run a full extraction pass at startup to populate the store")
 		logLevel   = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		shards     = flag.Int("index-shards", 0, "search-index shard count (0 = GOMAXPROCS)")
+		shards     = flag.Int("index-shards", 0, "search-index writer-lane count (0 = GOMAXPROCS)")
 		cacheSize  = flag.Int("query-cache", 0, "query-result cache entries (0 = default, negative = disabled)")
-		indexDir   = flag.String("index-dir", "", "persistent segment-index directory (empty = in-RAM index; see STORAGE.md)")
+		indexDir   = flag.String("index-dir", "", "persistent segment-index directory (empty = memory-only index; see STORAGE.md)")
 		flushDocs  = flag.Int("segment-flush-docs", 0, "per-writer memtable docs before a segment flush (0 = default; with -index-dir)")
 		mergeFac   = flag.Int("merge-factor", 0, "tiered segment-merge fan-in (0 = default; with -index-dir)")
 		drain      = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM/SIGINT")
@@ -244,7 +245,7 @@ func run(ctx context.Context, log *slog.Logger, opts options) error {
 	}
 	// Closing the web flushes the persistent index's memtables and
 	// commits its manifest, so everything indexed this run re-opens
-	// instead of re-indexing next run; a no-op for the in-RAM engine.
+	// instead of re-indexing next run; a no-op for a memory-only index.
 	defer func() {
 		if cerr := w.Close(); cerr != nil {
 			log.Error("index close", "err", cerr)

@@ -113,8 +113,8 @@ func GenerateWorld(cfg WorldConfig) []Document { return corpus.NewGenerator(cfg)
 // Web is the page store with a search-engine view.
 type Web = web.Web
 
-// SearchEngine is the query surface shared by the in-RAM sharded index
-// and the persistent segment index backing a Web (see Web.Index).
+// SearchEngine is the query surface of the segment index backing a Web
+// (see Web.Index), whether durable or memory-only.
 type SearchEngine = index.Engine
 
 // Page is one web page.
@@ -127,13 +127,13 @@ func NewWeb() *Web { return web.New() }
 func BuildWeb(docs []Document) *Web { return core.BuildWeb(docs) }
 
 // BuildWebEngine is BuildWeb honouring the Config's search-index knobs:
-// Shards selects the index shard count (0 = GOMAXPROCS) and CacheSize
-// the query-result cache capacity (0 = default, negative = disabled).
-// With IndexDir set, the web is backed by the on-disk segment index
-// rooted there — documents committed in a previous run re-open instead
-// of re-indexing, and the returned web must be Closed to flush and
-// release the index. Page order and ranked results are identical for
-// either engine and any shard count.
+// Shards selects the index's writer-lane count (0 = GOMAXPROCS) and
+// CacheSize the query-result cache capacity (0 = default, negative =
+// disabled). With IndexDir set, the index is durable, rooted there —
+// documents committed in a previous run re-open instead of
+// re-indexing, and the returned web must be Closed to flush and
+// release the index. Page order and ranked results are identical with
+// or without IndexDir and for any lane count.
 func BuildWebEngine(docs []Document, cfg Config) (*Web, error) {
 	return core.BuildWebEngine(docs, cfg)
 }

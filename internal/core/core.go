@@ -113,10 +113,10 @@ type Config struct {
 	// the control arm of the observability-overhead benchmark. Like
 	// Metrics, it does not affect train/gather/index metrics.
 	DisableMetrics bool
-	// Shards is the search-index shard count (or, with IndexDir, the
-	// writer-lane count) used when BuildWebEngine builds a web from this
-	// Config; 0 means GOMAXPROCS. It does not re-shard a web built
-	// elsewhere. Ranked results are identical for any shard count.
+	// Shards is the search index's writer-lane count used when
+	// BuildWebEngine builds a web from this Config; 0 means GOMAXPROCS.
+	// It does not re-route a web built elsewhere. Ranked results are
+	// identical for any lane count.
 	Shards int
 	// CacheSize is the search-index query-result cache capacity in
 	// entries, applied like Shards at web-build time; 0 means
@@ -127,11 +127,11 @@ type Config struct {
 	// The zero value means gather's documented defaults and no injected
 	// faults.
 	Fetch gather.FetchOptions
-	// IndexDir, when non-empty, backs webs built by BuildWebEngine with
-	// the persistent segment index rooted at this directory instead of
-	// the in-RAM sharded index: documents committed there survive
-	// restarts and are re-opened, not re-indexed. Ranked results are
-	// identical to the in-RAM engine's. Empty keeps the in-RAM index.
+	// IndexDir, when non-empty, makes the segment index behind webs
+	// built by BuildWebEngine durable, rooted at this directory:
+	// documents committed there survive restarts and are re-opened, not
+	// re-indexed. Empty keeps the index memory-only: nothing survives
+	// the process. Ranked results are identical either way.
 	IndexDir string
 	// SegmentFlushDocs is the per-writer memtable size, in documents,
 	// at which the persistent index seals and flushes a segment; 0

@@ -37,25 +37,32 @@ func DefaultDrivers() []SalesDriver {
 
 // BuildWeb converts generated corpus documents into a frozen web with a
 // search index — the standard bridge between the synthetic corpus and the
-// pipeline. The in-RAM index uses its defaults.
+// pipeline. The index is memory-only, with its defaults.
 func BuildWeb(docs []corpus.Document) *web.Web {
-	return assembleWeb(index.New(), corpusPages(docs))
+	return assembleWeb(web.New(), corpusPages(docs))
 }
 
-// BuildWebEngine is BuildWeb honouring the Config's index knobs. With
-// IndexDir empty the web is backed by an in-RAM index with Shards and
-// CacheSize. With IndexDir set it is backed by the on-disk segment index
-// (opened or created there), so documents already committed from a
-// previous run are served without re-indexing — only the page table is
-// rebuilt from docs. Page order, page content and ranked search results
-// are identical for either engine and any shard count. Callers owning a
-// persistent web must Close it to flush and release the index.
+// BuildWebEngine is BuildWeb honouring the Config's index knobs: the
+// segment index gets Shards writer lanes and a CacheSize query cache.
+// With IndexDir empty it is memory-only. With IndexDir set it is
+// durable (opened or created there), so documents already committed
+// from a previous run are served without re-indexing — only the page
+// table is rebuilt from docs. Page order, page content and ranked
+// search results are identical either way and for any lane count.
+// Callers owning a durable web must Close it to flush and release the
+// index.
 func BuildWebEngine(docs []corpus.Document, cfg Config) (*web.Web, error) {
-	eng, err := openEngine(cfg)
+	eng, err := index.OpenSegmentIndex(index.SegmentOptions{
+		Dir:         cfg.IndexDir,
+		FlushDocs:   cfg.SegmentFlushDocs,
+		MergeFactor: cfg.MergeFactor,
+		Writers:     cfg.Shards,
+		CacheSize:   cfg.CacheSize,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return assembleWeb(eng, corpusPages(docs)), nil
+	return assembleWeb(web.New(web.WithEngine(eng)), corpusPages(docs)), nil
 }
 
 // BuildWebFromHTML exercises the full gathering path a real deployment
@@ -64,28 +71,12 @@ func BuildWebEngine(docs []corpus.Document, cfg Config) (*web.Web, error) {
 // The resulting web is behaviourally equivalent to BuildWeb's (same
 // sentences, same links), which TestBuildWebFromHTMLEquivalence asserts.
 func BuildWebFromHTML(docs []corpus.Document) *web.Web {
-	return assembleWeb(index.New(), htmlPages(docs))
+	return assembleWeb(web.New(), htmlPages(docs))
 }
 
-// openEngine returns the search engine cfg selects: the persistent
-// segment index in IndexDir, or an in-RAM index when IndexDir is empty.
-func openEngine(cfg Config) (index.Engine, error) {
-	if cfg.IndexDir == "" {
-		return index.NewWithOptions(index.Options{Shards: cfg.Shards, CacheSize: cfg.CacheSize}), nil
-	}
-	return index.OpenSegmentIndex(index.SegmentOptions{
-		Dir:         cfg.IndexDir,
-		FlushDocs:   cfg.SegmentFlushDocs,
-		MergeFactor: cfg.MergeFactor,
-		Writers:     cfg.Shards,
-		CacheSize:   cfg.CacheSize,
-	})
-}
-
-// assembleWeb is the one web-assembly path: pages bulk-load into eng
-// concurrently (web.AddPages), then the web freezes.
-func assembleWeb(eng index.Engine, pages []web.Page) *web.Web {
-	w := web.New(web.WithEngine(eng))
+// assembleWeb is the one web-assembly path: pages bulk-load into w's
+// index concurrently (web.AddPages), then the web freezes.
+func assembleWeb(w *web.Web, pages []web.Page) *web.Web {
 	w.AddPages(pages)
 	w.Freeze()
 	return w

@@ -10,7 +10,7 @@ import (
 
 // TestBuildWebEngineReopen covers the persistent build path end to
 // end: with IndexDir set, BuildWebEngine writes segments on first
-// build, ranks identically to the in-RAM build, and a second build
+// build, ranks identically to the memory-only build, and a second build
 // over the same directory re-opens the committed segments (no
 // re-indexing — memtables stay empty) while still serving the same
 // results over the rebuilt page table.
@@ -21,10 +21,10 @@ func TestBuildWebEngineReopen(t *testing.T) {
 	}).World()
 	queries := []string{"merger", `"joint venture"`, "acquisition", "revenue growth"}
 
-	ram := BuildWeb(docs)
+	mem := BuildWeb(docs)
 	golden := make(map[string]string, len(queries))
 	for _, q := range queries {
-		hits := ram.Search(q, 10)
+		hits := mem.Search(q, 10)
 		urls := make([]string, len(hits))
 		for i, h := range hits {
 			urls[i] = h.URL
@@ -44,7 +44,7 @@ func TestBuildWebEngineReopen(t *testing.T) {
 			urls[i] = h.URL
 		}
 		if fmt.Sprint(urls) != golden[q] {
-			t.Errorf("query %q: segment build diverged from in-RAM: %v", q, urls)
+			t.Errorf("query %q: segment build diverged from memory-only: %v", q, urls)
 		}
 	}
 	if err := w1.Close(); err != nil {
@@ -80,7 +80,7 @@ func TestBuildWebEngineSharesDocumentText(t *testing.T) {
 		Seed: 94, RelevantPerDriver: 5, BackgroundDocs: 10,
 		HardNegativePerDriver: 2, FamousEventDocs: 1,
 	}).World()
-	for name, cfg := range map[string]Config{"in-ram": {}, "segments": {IndexDir: t.TempDir()}} {
+	for name, cfg := range map[string]Config{"memory": {}, "segments": {IndexDir: t.TempDir()}} {
 		w, err := BuildWebEngine(docs, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

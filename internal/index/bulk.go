@@ -21,26 +21,10 @@ type Doc struct {
 // buffer.
 const bulkChunk = 32
 
-// lanes is what a bulk load needs of an engine: its writer lanes (the
-// segment engine) or shards (the in-RAM engine), each appended to by
-// one goroutine at a time.
-type lanes interface {
-	// laneCount returns the number of lanes.
-	laneCount() int
-	// laneOf routes a document ID to its lane.
-	laneOf(docID string) int
-	// unheld keeps the documents of idx, indexes into docs routed to
-	// lane l, that the lane does not hold, in order.
-	unheld(l int, docs []Doc, idx []int) []int
-	// appendDoc adds one tokenized document to lane l and reports a
-	// duplicate ID instead of adding it.
-	appendDoc(l int, docID string, terms []string) (dup bool)
-}
-
-// bulkLoad indexes docs through e's lanes, lane by lane. Each document
-// is routed to its lane, and each lane first drops the documents it
-// already holds (a reopened segment engine's recovered ones), all under
-// one lock per lane. Workers then tokenize chunks of one lane's
+// bulkLoad indexes docs through si's writer lanes, lane by lane. Each
+// document is routed to its lane, and each lane first drops the
+// documents it already holds (a reopened engine's recovered ones), all
+// under one lock per lane. Workers then tokenize chunks of one lane's
 // documents in parallel, and each lane appends its chunks in document
 // order, one chunk at a time: no two workers append to a lane at once,
 // every lane holds its documents in the order docs lists them, and
@@ -50,14 +34,14 @@ type lanes interface {
 //
 // An ID that occurs twice in docs panics, on the caller's goroutine
 // once the load has finished, naming the first such document.
-func bulkLoad(e lanes, docs []Doc) {
-	n := e.laneCount()
+func bulkLoad(si *SegmentIndex, docs []Doc) {
+	n := len(si.writers)
 	byLane := make([][]int, n)
 	for i := range docs {
-		l := e.laneOf(docs[i].ID)
+		l := si.laneOf(docs[i].ID)
 		byLane[l] = append(byLane[l], i)
 	}
-	par.For(0, n, func(l int) { byLane[l] = e.unheld(l, docs, byLane[l]) })
+	par.For(0, n, func(l int) { byLane[l] = si.writers[l].unheld(docs, byLane[l]) })
 
 	type chunk struct {
 		lane, seq int
@@ -90,7 +74,7 @@ func bulkLoad(e lanes, docs []Doc) {
 		t.wait(ch.lane, ch.seq)
 		from := 0
 		for k, i := range ch.idx {
-			if e.appendDoc(ch.lane, docs[i].ID, buf.terms[from:buf.ends[k]]) {
+			if si.appendDoc(ch.lane, docs[i].ID, buf.terms[from:buf.ends[k]]) {
 				t.mu.Lock()
 				if dup < 0 || i < dup {
 					dup = i

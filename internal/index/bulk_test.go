@@ -95,8 +95,9 @@ func TestBulkLoadRepeatsBytes(t *testing.T) {
 }
 
 // bulkEngines are the engine configurations the bulk-load tests run:
-// one and several shards or lanes, and a segment engine whose small
-// memtables seal and flush in the middle of a load.
+// memory-only engines ("ram-N", held wholly in RAM with N lanes) and
+// durable ones ("segment-N") with one and several lanes, and a durable
+// engine whose small memtables seal and flush in the middle of a load.
 func bulkEngines(t *testing.T) map[string]func() Engine {
 	seg := func(o SegmentOptions) func() Engine {
 		return func() Engine {
@@ -110,8 +111,8 @@ func bulkEngines(t *testing.T) map[string]func() Engine {
 		}
 	}
 	return map[string]func() Engine{
-		"ram-1":         func() Engine { return NewWithOptions(Options{Shards: 1, CacheSize: -1}) },
-		"ram-3":         func() Engine { return NewWithOptions(Options{Shards: 3, CacheSize: -1}) },
+		"ram-1":         func() Engine { return memoryIndex(t, 1, -1) },
+		"ram-3":         func() Engine { return memoryIndex(t, 3, -1) },
 		"segment-1":     seg(SegmentOptions{Writers: 1, CacheSize: -1}),
 		"segment-3":     seg(SegmentOptions{Writers: 3, CacheSize: -1}),
 		"segment-flush": seg(SegmentOptions{Writers: 2, FlushDocs: 500, CacheSize: -1}),
@@ -206,9 +207,10 @@ func TestBulkLoadSkipsRecovered(t *testing.T) {
 }
 
 // TestBulkLoadConcurrentSearch runs a bulk load while other goroutines
-// search and ask Has, on both engines: under -race this checks that
-// the lanes' appends synchronize with readers, and afterwards the
-// answers are those of a quiet load.
+// search and ask Has, on a memory-only engine and on a durable one
+// that flushes mid-load: under -race this checks that the lanes'
+// appends synchronize with readers, and afterwards the answers are
+// those of a quiet load.
 func TestBulkLoadConcurrentSearch(t *testing.T) {
 	docs := asDocs(digestCorpus())
 	for _, name := range []string{"ram-3", "segment-flush"} {
@@ -278,7 +280,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 		})
 	}
 	engines := map[string]func(b *testing.B) (Engine, func()){
-		"ram": func(b *testing.B) (Engine, func()) { return New(), func() {} },
+		"memory": func(b *testing.B) (Engine, func()) { return memoryIndex(b, 0, 0), func() {} },
 		"segment": func(b *testing.B) (Engine, func()) {
 			si, err := OpenSegmentIndex(SegmentOptions{Dir: b.TempDir()})
 			if err != nil {
@@ -291,7 +293,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			}
 		},
 	}
-	for _, engine := range []string{"ram", "segment"} {
+	for _, engine := range []string{"memory", "segment"} {
 		for _, mode := range []string{"bulk", "perdoc"} {
 			b.Run(engine+"/"+mode, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

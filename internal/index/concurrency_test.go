@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// corpusDoc is one synthetic document for the sharding tests.
+// corpusDoc is one synthetic document for the index tests.
 type corpusDoc struct {
 	id, text string
 }
 
 // syntheticCorpus generates n deterministic pseudo-business documents
-// with a seeded source, so every shard configuration indexes the exact
+// with a seeded source, so every engine configuration indexes the exact
 // same material.
 func syntheticCorpus(n int, seed int64) []corpusDoc {
 	rng := rand.New(rand.NewSource(seed))
@@ -50,42 +50,37 @@ var goldenQueries = []string{
 }
 
 // TestShardedMatchesSingleShard pins the core correctness property of
-// the sharded engine: for every shard count, SearchQuery returns
-// exactly the hits — order AND score — of the single-shard baseline.
+// routing documents across writer lanes: for every lane count, Search
+// returns exactly the hits — order AND score — of the brute-force
+// model over the same documents, which a single lane returns too.
 func TestShardedMatchesSingleShard(t *testing.T) {
 	docs := syntheticCorpus(3000, 42)
-	baseline := NewWithOptions(Options{Shards: 1, CacheSize: -1})
+	m := newIndexModel()
 	for _, d := range docs {
-		baseline.Add(d.id, d.text)
+		m.add(d.id, d.text)
 	}
-	for _, shards := range []int{2, 3, 4, 7, 16} {
-		ix := NewWithOptions(Options{Shards: shards, CacheSize: -1})
-		for _, d := range docs {
-			ix.Add(d.id, d.text)
-		}
-		for _, q := range goldenQueries {
-			for _, k := range []int{0, 1, 10, 100} {
-				want := baseline.Search(q, k)
-				got := ix.Search(q, k)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("shards=%d query=%q k=%d:\n got %v\nwant %v", shards, q, k, got, want)
-				}
+	for _, lanes := range []int{1, 2, 3, 4, 7, 16} {
+		t.Run(fmt.Sprint(lanes), func(t *testing.T) {
+			ix := memoryIndex(t, lanes, -1)
+			for _, d := range docs {
+				ix.Add(d.id, d.text)
 			}
-		}
+			checkAgainstModel(t, ix, m, goldenQueries, []int{0, 1, 10, 100})
+		})
 	}
 }
 
 // TestConcurrentBulkAddMatchesSequential loads the same corpus with
-// many goroutines and verifies the resulting ranked output is identical
-// to a sequential load.
+// many goroutines and verifies the resulting ranked output is that of
+// the model over a sequential load.
 func TestConcurrentBulkAddMatchesSequential(t *testing.T) {
 	docs := syntheticCorpus(2000, 7)
-	seq := NewWithOptions(Options{Shards: 4, CacheSize: -1})
+	seq := newIndexModel()
 	for _, d := range docs {
-		seq.Add(d.id, d.text)
+		seq.add(d.id, d.text)
 	}
 
-	conc := NewWithOptions(Options{Shards: 4, CacheSize: -1})
+	conc := memoryIndex(t, 4, -1)
 	var wg sync.WaitGroup
 	jobs := make(chan corpusDoc)
 	for w := 0; w < 8; w++ {
@@ -102,17 +97,7 @@ func TestConcurrentBulkAddMatchesSequential(t *testing.T) {
 	}
 	close(jobs)
 	wg.Wait()
-
-	if seq.Len() != conc.Len() {
-		t.Fatalf("Len: sequential %d vs concurrent %d", seq.Len(), conc.Len())
-	}
-	for _, q := range goldenQueries {
-		want := seq.Search(q, 20)
-		got := conc.Search(q, 20)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("query %q: concurrent load diverged\n got %v\nwant %v", q, got, want)
-		}
-	}
+	checkAgainstModel(t, conc, seq, goldenQueries, []int{20})
 }
 
 // TestConcurrentAddAndSearch exercises Add racing SearchQuery and the
@@ -120,7 +105,7 @@ func TestConcurrentBulkAddMatchesSequential(t *testing.T) {
 // basic sanity — the point is that no access is unsynchronized.
 func TestConcurrentAddAndSearch(t *testing.T) {
 	docs := syntheticCorpus(1500, 99)
-	ix := New()
+	ix := memoryIndex(t, 0, 0)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -156,7 +141,7 @@ func TestConcurrentAddAndSearch(t *testing.T) {
 // TestCacheInvalidationOnAdd pins the cache contract: a cached result
 // must not survive a mutation of the index.
 func TestCacheInvalidationOnAdd(t *testing.T) {
-	ix := NewWithOptions(Options{Shards: 4, CacheSize: 64})
+	ix := memoryIndex(t, 4, 64)
 	ix.Add("d1", "Acme appointed a new CEO")
 	if n := len(ix.Search(`"new ceo"`, 0)); n != 1 {
 		t.Fatalf("first search: %d hits, want 1", n)
@@ -177,7 +162,7 @@ func TestCacheInvalidationOnAdd(t *testing.T) {
 // slice without corrupting the cache.
 func TestCacheHitIdenticalResults(t *testing.T) {
 	docs := syntheticCorpus(500, 3)
-	ix := NewWithOptions(Options{Shards: 4, CacheSize: 64})
+	ix := memoryIndex(t, 4, 64)
 	for _, d := range docs {
 		ix.Add(d.id, d.text)
 	}
@@ -198,7 +183,7 @@ func TestCacheHitIdenticalResults(t *testing.T) {
 // TestCacheEviction fills a tiny cache past capacity and checks the LRU
 // bound holds.
 func TestCacheEviction(t *testing.T) {
-	ix := NewWithOptions(Options{Shards: 2, CacheSize: 4})
+	ix := memoryIndex(t, 2, 4)
 	docs := syntheticCorpus(200, 11)
 	for _, d := range docs {
 		ix.Add(d.id, d.text)
@@ -214,7 +199,7 @@ func TestCacheEviction(t *testing.T) {
 
 // TestCacheDisabled verifies CacheSize < 0 turns caching off entirely.
 func TestCacheDisabled(t *testing.T) {
-	ix := NewWithOptions(Options{Shards: 2, CacheSize: -1})
+	ix := memoryIndex(t, 2, -1)
 	ix.Add("d1", "merger announced")
 	ix.Search("merger", 0)
 	ix.Search("merger", 0)

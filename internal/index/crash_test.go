@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,9 +16,9 @@ import (
 // an arbitrary point mid-flush/mid-merge, and recovery must (a) open
 // cleanly — proving the manifest never references a torn segment,
 // since open CRC-verifies every referenced file — (b) leave no
-// temporary or orphaned files behind, and (c) serve ranked results
-// bit-identical to an in-RAM index built over exactly the recovered
-// documents.
+// temporary or orphaned files behind, (c) hold only real documents,
+// each once, and (d) serve ranked results bit-identical to the
+// brute-force model over exactly the recovered documents.
 
 const (
 	crashEnvDir  = "ETAP_INDEX_CRASH_DIR"
@@ -166,16 +165,14 @@ func verifyRecovery(t *testing.T, dir string, textOf map[string]string, round in
 		}
 	}
 
-	// (d) Ranked results over the recovered set are bit-identical to an
-	// in-RAM index built from scratch over the same documents.
-	base := NewWithOptions(Options{Shards: 1, CacheSize: -1})
+	// (d) Ranked results over the recovered set are bit-identical to
+	// the model's over the same documents.
+	m := newIndexModel()
 	for _, id := range recovered {
-		base.Add(id, textOf[id])
+		m.add(id, textOf[id])
 	}
 	for _, q := range goldenQueries {
-		want := base.Search(q, 20)
-		got := si.Search(q, 20)
-		if !reflect.DeepEqual(got, want) {
+		if got, want := si.Search(q, 20), m.search(ParseQuery(q), 20); !sameHits(got, want) {
 			t.Fatalf("round %d: query %q diverges on recovered corpus", round, q)
 		}
 	}

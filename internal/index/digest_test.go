@@ -14,10 +14,11 @@ import (
 // give over digestCorpus: the ranked hits of each of digestQueries at
 // k=25 and k=200 (DocID and the exact score bits), and DocFreq,
 // CoDocFreq and CoNearFreq at windows 0, 5 and 10 for each of
-// digestPairs. Both engines run those functions, so an engine
-// equivalence test cannot see a change that moves both. The digest was
-// computed before conjunctive matching became a merge, and it is the
-// reference that outlives the in-RAM engine.
+// digestPairs. Every part runs those functions, so a test comparing
+// two ways of splitting the documents cannot see a change that moves
+// both. The digest was computed before conjunctive matching became a
+// merge, by an engine that kept decoded postings lists, so none of the
+// code it checks produced it.
 const answersDigest = "680826c36a81b9b4c91ce42c36dded8c2f62044b5bff6d52c235866bb26f9fcc"
 
 // digestCorpus is the corpus answersDigest was computed over.
@@ -73,9 +74,9 @@ func engineAnswersDigest(eng Engine) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestAnswersMatchPinnedDigest checks the in-RAM engine at one and
-// four shards, a segment engine whose documents all sit in one
-// memtable, and a segment engine reopened over flushed and merged
+// TestAnswersMatchPinnedDigest checks a memory-only engine at one and
+// four writer lanes, a durable engine whose documents all sit in one
+// memtable, and a durable engine reopened over flushed and merged
 // on-disk segments against answersDigest.
 func TestAnswersMatchPinnedDigest(t *testing.T) {
 	docs := digestCorpus()
@@ -85,9 +86,9 @@ func TestAnswersMatchPinnedDigest(t *testing.T) {
 			t.Fatalf("answers digest = %s, want %s", got, answersDigest)
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("in-ram-%d", shards), func(t *testing.T) {
-			ix := NewWithOptions(Options{Shards: shards, CacheSize: -1})
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("memory-%d", lanes), func(t *testing.T) {
+			ix := memoryIndex(t, lanes, -1)
 			for _, d := range docs {
 				ix.Add(d.id, d.text)
 			}

@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// Engine is the search surface shared by the in-RAM sharded index
-// (Index) and the on-disk segment index (SegmentIndex). internal/web
-// stores an Engine, so every consumer of the search substrate — smart
-// queries, PMI-IR co-occurrence statistics, streaming ingest — works
-// identically against either implementation; ranked results are
-// bit-identical between the two (golden-tested).
+// Engine is the search surface every consumer of the substrate uses:
+// smart queries, PMI-IR co-occurrence statistics and streaming ingest.
+// SegmentIndex, durable or memory-only, is its one implementation. It
+// stays an interface because callers name the surface, not the
+// engine: internal/web stores an Engine, the etap facade exports it as
+// SearchEngine, and the end-to-end benchmark queries a web's Engine.
 type Engine interface {
 	// Add indexes a document made of parts (a page's title and text),
 	// read as one text with a space between parts; it is safe for
@@ -20,8 +20,8 @@ type Engine interface {
 	// idempotent callers.
 	Add(docID string, parts ...string)
 	// AddDocs bulk-loads docs: every document not yet indexed is added
-	// as Add would add it, in order within its writer lane or shard,
-	// and the ones already indexed (recovered by a reopened engine) are
+	// as Add would add it, in order within its writer lane, and the
+	// ones already indexed (recovered by a reopened engine) are
 	// skipped. An ID that occurs twice in docs panics. It is safe for
 	// concurrent use with searches.
 	AddDocs(docs []Doc)
@@ -47,14 +47,8 @@ type Engine interface {
 	IndexStats() Stats
 }
 
-// Both engines must satisfy the shared surface.
-var (
-	_ Engine = (*Index)(nil)
-	_ Engine = (*SegmentIndex)(nil)
-)
-
-// part is one independently searchable slice of an engine: an in-RAM
-// shard, an active or sealed memtable, or an immutable on-disk segment.
+// part is one independently searchable slice of the engine: an active
+// or sealed memtable, or an immutable on-disk segment.
 // A document lives entirely within one part, so conjunctive matching,
 // phrase adjacency and per-document scoring are part-local; only
 // corpus-wide statistics are aggregated across parts before scoring.
@@ -103,8 +97,8 @@ type partStats struct {
 // input (tf, docLen, idf, avgLen) and the summation order (sorted
 // distinct terms) are part-independent, ranked output — order and
 // score — is identical for any partitioning of the same documents.
-// With parallel set, phase 2 fans out across parts concurrently.
-func resolveParts(parts []part, allTerms []string, phrases [][]string, k int, parallel bool) []Hit {
+// Phase 2 fans out across the matching parts concurrently.
+func resolveParts(parts []part, allTerms []string, phrases [][]string, k int) []Hit {
 	// Distinct query tokens in sorted order — the shared scoring basis.
 	distinct := slices.Clone(allTerms)
 	slices.Sort(distinct)
@@ -156,7 +150,7 @@ func resolveParts(parts []part, allTerms []string, phrases [][]string, k int, pa
 	for i := range scs {
 		scs[i] = getScratch()
 	}
-	if !parallel || len(matching) == 1 {
+	if len(matching) == 1 {
 		for i, p := range matching {
 			p.searchPart(&q, scs[i])
 		}
@@ -223,4 +217,10 @@ func flattenQuery(q Query) (allTerms []string, phrases [][]string) {
 		}
 	}
 	return allTerms, phrases
+}
+
+// idf is the BM25 inverse document frequency for a term with document
+// frequency df in a corpus of n documents.
+func idf(n, df int) float64 {
+	return math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
 }

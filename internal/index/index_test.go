@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func buildIndex() *Index {
-	ix := New()
+func buildIndex(t testing.TB) *SegmentIndex {
+	ix := memoryIndex(t, 0, 0)
 	ix.Add("d1", "Acme named a new CEO on Friday after the old chief resigned")
 	ix.Add("d2", "The new CEO of Widget Corp outlined a growth strategy")
 	ix.Add("d3", "A ceo search firm ranked the new executives of the year")
@@ -25,7 +25,7 @@ func ids(hits []Hit) []string {
 }
 
 func TestSearchPhrase(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	hits := ix.Search(`"new ceo"`, 0)
 	got := map[string]bool{}
 	for _, h := range hits {
@@ -43,7 +43,7 @@ func TestSearchPhrase(t *testing.T) {
 }
 
 func TestSearchConjunctiveTerms(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	hits := ix.Search("IBM Daksh", 0)
 	if len(hits) != 2 {
 		t.Fatalf("got %v, want d5 and d6", ids(hits))
@@ -56,14 +56,14 @@ func TestSearchConjunctiveTerms(t *testing.T) {
 }
 
 func TestSearchMissingTermEmptiesResult(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	if hits := ix.Search("IBM zebra", 0); len(hits) != 0 {
 		t.Fatalf("conjunctive semantics violated: %v", ids(hits))
 	}
 }
 
 func TestSearchTopK(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	hits := ix.Search("new", 1)
 	if len(hits) != 1 {
 		t.Fatalf("k=1 returned %d hits", len(hits))
@@ -71,7 +71,7 @@ func TestSearchTopK(t *testing.T) {
 }
 
 func TestSearchRankingPrefersHigherTF(t *testing.T) {
-	ix := New()
+	ix := memoryIndex(t, 0, 0)
 	ix.Add("rich", "merger merger merger merger deal deal")
 	ix.Add("poor", "merger happened and many other things were also discussed at length today")
 	hits := ix.Search("merger", 0)
@@ -84,7 +84,7 @@ func TestSearchRankingPrefersHigherTF(t *testing.T) {
 }
 
 func TestSearchStemsQueryAndDocument(t *testing.T) {
-	ix := New()
+	ix := memoryIndex(t, 0, 0)
 	ix.Add("d", "The company acquired three startups")
 	if hits := ix.Search("acquire", 0); len(hits) != 1 {
 		t.Fatalf("stemming failed: %v", ids(hits))
@@ -96,7 +96,7 @@ func TestSearchStemsQueryAndDocument(t *testing.T) {
 }
 
 func TestSearchNumbers(t *testing.T) {
-	ix := New()
+	ix := memoryIndex(t, 0, 0)
 	ix.Add("d", "Revenue for Q4 2004 reached record levels")
 	if hits := ix.Search("2004", 0); len(hits) != 1 {
 		t.Fatalf("number search failed: %v", ids(hits))
@@ -104,7 +104,7 @@ func TestSearchNumbers(t *testing.T) {
 }
 
 func TestSearchEmptyQuery(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	if hits := ix.Search("", 0); hits != nil {
 		t.Fatalf("empty query: %v", ids(hits))
 	}
@@ -114,7 +114,7 @@ func TestSearchEmptyQuery(t *testing.T) {
 }
 
 func TestSearchCaseInsensitive(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	a := ix.Search("ibm daksh", 0)
 	b := ix.Search("IBM DAKSH", 0)
 	if len(a) != len(b) {
@@ -123,7 +123,7 @@ func TestSearchCaseInsensitive(t *testing.T) {
 }
 
 func TestAddDuplicatePanics(t *testing.T) {
-	ix := New()
+	ix := memoryIndex(t, 0, 0)
 	ix.Add("d", "text")
 	defer func() {
 		if recover() == nil {
@@ -173,7 +173,7 @@ func TestParseQueryUnterminatedQuote(t *testing.T) {
 }
 
 func TestSearchUnterminatedQuoteMatches(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	// Previously the dangling-quote tail was dropped and this query
 	// degenerated to match-nothing; now it behaves like "IBM Daksh".
 	hits := ix.Search(`IBM "Daksh`, 0)
@@ -182,11 +182,10 @@ func TestSearchUnterminatedQuoteMatches(t *testing.T) {
 	}
 }
 
+// TestShardsAndStats checks that Stats reports the writer lanes the
+// engine was opened with, as Shards, beside its documents and postings.
 func TestShardsAndStats(t *testing.T) {
-	ix := NewWithOptions(Options{Shards: 3})
-	if ix.Shards() != 3 {
-		t.Fatalf("Shards() = %d", ix.Shards())
-	}
+	ix := memoryIndex(t, 3, 0)
 	ix.Add("a", "merger announced today")
 	ix.Add("b", "merger closed yesterday")
 	st := ix.IndexStats()
@@ -196,7 +195,7 @@ func TestShardsAndStats(t *testing.T) {
 }
 
 func TestDocFreqAndCoDocFreq(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	if df := ix.DocFreq("ceo"); df != 3 {
 		t.Errorf("DocFreq(ceo) = %d, want 3", df)
 	}
@@ -212,7 +211,7 @@ func TestDocFreqAndCoDocFreq(t *testing.T) {
 }
 
 func TestCoNearFreq(t *testing.T) {
-	ix := New()
+	ix := memoryIndex(t, 0, 0)
 	ix.Add("near", "revenue up sharply this quarter")
 	ix.Add("far", "revenue was flat but the outlook and many other parts of the business with different words entirely looked up")
 	ix.Add("none", "revenue was flat")
@@ -233,7 +232,7 @@ func TestCoNearFreq(t *testing.T) {
 }
 
 func TestSearchDeterministicOrder(t *testing.T) {
-	ix := buildIndex()
+	ix := buildIndex(t)
 	a := ids(ix.Search("the new", 0))
 	b := ids(ix.Search("the new", 0))
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -242,7 +241,7 @@ func TestSearchDeterministicOrder(t *testing.T) {
 }
 
 func BenchmarkSearchPhrase(b *testing.B) {
-	ix := New()
+	ix := memoryIndex(b, 0, 0)
 	for i := 0; i < 2000; i++ {
 		ix.Add(fmt.Sprintf("d%d", i),
 			"The new CEO of the company outlined a growth strategy for the coming year and investors reacted")
@@ -257,7 +256,7 @@ func BenchmarkAdd(b *testing.B) {
 	text := "The new CEO of the company outlined a growth strategy for the coming year and investors reacted"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := New()
+		ix := memoryIndex(b, 0, 0)
 		for j := 0; j < 100; j++ {
 			ix.Add(fmt.Sprintf("d%d", j), text)
 		}

@@ -1,7 +1,7 @@
 package index
 
 import (
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -47,12 +47,11 @@ var (
 )
 
 // DefaultFlushDocs is the per-writer memtable size, in documents, at
-// which a batch seals and flushes when SegmentOptions.FlushDocs is 0.
-// Larger batches amortise the per-flush encode/fsync/commit cost (bulk
-// loads at this default outrun the in-RAM engine; see BENCH_index.json)
-// at the price of more unflushed documents in RAM and a longer
-// re-index window after a crash; latency-sensitive streaming ingest
-// should configure a smaller batch (STORAGE.md §8).
+// which a durable engine's batch seals and flushes when
+// SegmentOptions.FlushDocs is 0. Larger batches amortise the per-flush
+// encode/fsync/commit cost at the price of more unflushed documents in
+// RAM and a longer re-index window after a crash; latency-sensitive
+// streaming ingest should configure a smaller batch (STORAGE.md §8).
 const DefaultFlushDocs = 8192
 
 // DefaultMergeFactor is the tiered merge policy's fan-in when
@@ -64,7 +63,9 @@ const DefaultMergeFactor = 8
 type SegmentOptions struct {
 	// Dir is the index directory. It is created if missing; if it
 	// holds a manifest from a previous run, the committed segments are
-	// re-opened and searchable immediately — no rebuild.
+	// re-opened and searchable immediately — no rebuild. Empty opens a
+	// memory-only engine: nothing is durable, memtables never seal,
+	// and FlushDocs and MergeFactor do not apply.
 	Dir string
 	// FlushDocs is the per-writer memtable seal threshold in
 	// documents; 0 means DefaultFlushDocs.
@@ -80,19 +81,21 @@ type SegmentOptions struct {
 	CacheSize int
 }
 
-// SegmentIndex is the persistent, segment-based search engine: the
-// same query surface as the in-RAM Index (bit-identical ranked
-// results, golden-tested) over immutable on-disk segments plus
-// per-writer in-memory memtables. Documents are searchable the moment
-// Add returns; sealed batches flush to disk in the background; a
-// tiered merger compacts small segments; and the manifest commit
-// protocol (STORAGE.md) makes restarts re-open segments instead of
-// re-indexing the corpus.
+// SegmentIndex is the segment-based search engine: per-writer
+// in-memory memtables plus, when it has a directory, immutable on-disk
+// segments. Documents are searchable the moment Add returns. A durable
+// engine flushes sealed batches to disk in the background, a tiered
+// merger compacts small segments, and the manifest commit protocol
+// (STORAGE.md) makes restarts re-open segments instead of re-indexing
+// the corpus. A memory-only engine (empty Dir) keeps every document in
+// its memtables and starts no goroutine. Ranked results are
+// bit-identical however the documents are split across lanes, memtables
+// and segments.
 //
 // Add and all query methods are safe for concurrent use. Close flushes
 // what is in memory and must not race other calls.
 type SegmentIndex struct {
-	dir         string
+	dir         string // empty for a memory-only engine
 	flushDocs   int
 	mergeFactor int
 	gen         atomic.Uint64 // bumped on every Add; versions cache entries
@@ -123,13 +126,14 @@ type SegmentIndex struct {
 // OpenSegmentIndex opens (or creates) the segment index in o.Dir:
 // loads the manifest, verifies and mmaps every committed segment,
 // removes orphaned files from interrupted flushes or merges, and
-// starts the background flusher and merger.
+// starts the background flusher and merger. With o.Dir empty it opens
+// a memory-only engine instead, which does no I/O and so never fails.
 func OpenSegmentIndex(o SegmentOptions) (*SegmentIndex, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("index: SegmentOptions.Dir is required")
-	}
 	if o.FlushDocs <= 0 {
 		o.FlushDocs = DefaultFlushDocs
+	}
+	if o.Dir == "" {
+		o.FlushDocs = math.MaxInt // memory-only: a memtable never seals
 	}
 	if o.MergeFactor == 0 {
 		o.MergeFactor = DefaultMergeFactor
@@ -143,25 +147,7 @@ func OpenSegmentIndex(o SegmentOptions) (*SegmentIndex, error) {
 	if o.Writers < 1 {
 		o.Writers = 1
 	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	man, err := loadManifest(o.Dir)
-	if err != nil {
-		return nil, err
-	}
-
-	si := &SegmentIndex{
-		dir:         o.Dir,
-		flushDocs:   o.FlushDocs,
-		mergeFactor: o.MergeFactor,
-		man:         man,
-		flushCh:     make(chan *memSegment, o.Writers+2),
-		kickCh:      make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
-		flushDone:   make(chan struct{}),
-		mergeDone:   make(chan struct{}),
-	}
+	si := &SegmentIndex{dir: o.Dir, flushDocs: o.FlushDocs, mergeFactor: o.MergeFactor}
 	switch {
 	case o.CacheSize > 0:
 		si.cache = newQueryCache(o.CacheSize)
@@ -172,6 +158,23 @@ func OpenSegmentIndex(o SegmentOptions) (*SegmentIndex, error) {
 	for i := range si.writers {
 		si.writers[i] = newWriter(o.FlushDocs)
 	}
+	if o.Dir == "" {
+		return si, nil
+	}
+
+	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	man, err := loadManifest(o.Dir)
+	if err != nil {
+		return nil, err
+	}
+	si.man = man
+	si.flushCh = make(chan *memSegment, o.Writers+2)
+	si.kickCh = make(chan struct{}, 1)
+	si.stopCh = make(chan struct{})
+	si.flushDone = make(chan struct{})
+	si.mergeDone = make(chan struct{})
 
 	// Re-open committed segments; any failure here is real corruption
 	// (the commit protocol never publishes a manifest referencing a
@@ -214,14 +217,6 @@ func (si *SegmentIndex) laneOf(docID string) int {
 	return int(route(docID) % uint64(len(si.writers)))
 }
 
-// laneCount returns the writer-lane count, for bulkLoad.
-func (si *SegmentIndex) laneCount() int { return len(si.writers) }
-
-// unheld implements lanes through the writer's seen set.
-func (si *SegmentIndex) unheld(l int, docs []Doc, idx []int) []int {
-	return si.writers[l].unheld(docs, idx)
-}
-
 // appendDoc adds a tokenized document to lane l's memtable, reporting
 // a duplicate ID instead; seals and hands the batch to the background
 // flusher when the memtable reaches the flush threshold; and
@@ -244,11 +239,12 @@ func (si *SegmentIndex) appendDoc(l int, docID string, ts []string) (dup bool) {
 // Add indexes a document: tokenize outside any lock, append to the
 // owning writer's memtable (searchable the moment this returns), and
 // seal + hand the batch to the background flusher when the memtable
-// reaches the flush threshold. Adding the same docID twice panics,
-// matching the in-RAM engine; the seen set spans committed segments,
-// so the contract holds across restarts too. Every Add invalidates the
-// query cache by advancing the engine generation. Like Index.Add, it
-// reads parts as one text with a space between them.
+// reaches the flush threshold. Adding the same docID twice panics: the
+// engine has no delete path and silent double-indexing would corrupt
+// scores. The seen set spans committed segments, so the contract holds
+// across restarts too. Every Add invalidates the query cache by
+// advancing the engine generation. Parts, such as a page's title and
+// text, are read as one text with a space between them.
 func (si *SegmentIndex) Add(docID string, parts ...string) {
 	sc := textproc.GetScratch()
 	dup := si.appendDoc(si.laneOf(docID), docID, scanTerms(sc, parts))
@@ -287,7 +283,9 @@ func (si *SegmentIndex) Has(docID string) bool {
 }
 
 // Search ranks documents matching the query and returns the top k (all
-// matches when k <= 0), exactly like Index.Search.
+// matches when k <= 0). Multi-token phrases require adjacency; terms
+// and phrases combine conjunctively; ranking is BM25 over all query
+// tokens.
 //
 //etaplint:ignore context-plumbing -- in-memory and page-cache lookup: no cancellable I/O, and a ctx parameter would suggest otherwise
 func (si *SegmentIndex) Search(query string, k int) []Hit {
@@ -296,8 +294,8 @@ func (si *SegmentIndex) Search(query string, k int) []Hit {
 
 // SearchQuery is Search over a pre-parsed query: cache lookup first,
 // then the shared two-phase resolve across memtables, sealed batches
-// and on-disk segments. Results are identical — order and score — to
-// the in-RAM engine over the same documents.
+// and on-disk segments. Results are identical — order and score — for
+// any lane count and however flushes and merges split the documents.
 //
 //etaplint:ignore context-plumbing -- in-memory and page-cache lookup: no cancellable I/O, and a ctx parameter would suggest otherwise
 func (si *SegmentIndex) SearchQuery(q Query, k int) []Hit {
@@ -318,7 +316,7 @@ func (si *SegmentIndex) SearchQuery(q Query, k int) []Hit {
 	}
 
 	parts, release := si.snapshot()
-	hits := resolveParts(parts, allTerms, phrases, k, true)
+	hits := resolveParts(parts, allTerms, phrases, k)
 	release()
 
 	if si.cache != nil {
@@ -448,7 +446,7 @@ func (si *SegmentIndex) IndexStats() Stats {
 // the shared Stats: what the manifest has committed and what is still
 // memory-only.
 type SegmentIndexStats struct {
-	// Dir is the index directory.
+	// Dir is the index directory; empty for a memory-only engine.
 	Dir string
 	// Generation is the committed manifest generation.
 	Generation uint64
@@ -526,8 +524,12 @@ func (si *SegmentIndex) noteErr(err error) {
 // Close seals and flushes every memtable, drains the flusher, stops
 // the merger, and releases all segment mappings. The index on disk is
 // complete and re-openable when Close returns. Close must not race Add
-// or queries; it is idempotent.
+// or queries; it is idempotent, and on a memory-only engine, which
+// holds nothing to flush or release, it does nothing and returns nil.
 func (si *SegmentIndex) Close() error {
+	if si.dir == "" {
+		return nil
+	}
 	si.errMu.Lock()
 	if si.closed {
 		si.errMu.Unlock()

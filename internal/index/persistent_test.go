@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -31,29 +32,20 @@ func buildSegmentIndex(t *testing.T, o SegmentOptions, docs []corpusDoc) *Segmen
 	return si
 }
 
-// TestSegmentEngineMatchesInRAMGolden pins the engine-equivalence
+// TestSegmentEngineMatchesModel pins the durable engine's equivalence
 // property: for every writer count and flush size — including
 // configurations that force many flushes and background merges — the
-// segment engine returns bit-identical ranked hits (order AND score)
-// to the single-shard in-RAM engine over the same corpus.
-func TestSegmentEngineMatchesInRAMGolden(t *testing.T) {
+// engine returns bit-identical ranked hits (order AND score) to the
+// brute-force model over the same corpus.
+func TestSegmentEngineMatchesModel(t *testing.T) {
 	n := 50000
 	if testing.Short() {
 		n = 4000
 	}
 	docs := syntheticCorpus(n, 42)
-
-	baseline := NewWithOptions(Options{Shards: 1, CacheSize: -1})
+	m := newIndexModel()
 	for _, d := range docs {
-		baseline.Add(d.id, d.text)
-	}
-	type golden struct {
-		q    string
-		hits []Hit
-	}
-	goldens := make([]golden, 0, len(goldenQueries))
-	for _, q := range goldenQueries {
-		goldens = append(goldens, golden{q: q, hits: baseline.Search(q, 25)})
+		m.add(d.id, d.text)
 	}
 
 	for _, cfg := range []SegmentOptions{
@@ -67,15 +59,7 @@ func TestSegmentEngineMatchesInRAMGolden(t *testing.T) {
 		name := fmt.Sprintf("w%d_f%d_m%d", cfg.Writers, cfg.FlushDocs, cfg.MergeFactor)
 		t.Run(name, func(t *testing.T) {
 			si := buildSegmentIndex(t, cfg, docs)
-			if si.Len() != len(docs) {
-				t.Fatalf("Len = %d, want %d", si.Len(), len(docs))
-			}
-			for _, g := range goldens {
-				got := si.Search(g.q, 25)
-				if !reflect.DeepEqual(got, g.hits) {
-					t.Fatalf("query %q: segment hits diverge from in-RAM golden\nwant %v\ngot  %v", g.q, g.hits, got)
-				}
-			}
+			checkAgainstModel(t, si, m, goldenQueries, []int{25})
 			if err := si.Err(); err != nil {
 				t.Fatalf("background error: %v", err)
 			}
@@ -216,9 +200,10 @@ func TestSegmentDocIDs(t *testing.T) {
 	}
 }
 
-// TestSegmentCacheInvalidation mirrors the in-RAM cache contract: an
-// Add between two identical queries must invalidate, while flushes and
-// merges (which do not change results) must not prevent hits.
+// TestSegmentCacheInvalidation checks the cache contract on a durable
+// engine: an Add between two identical queries must invalidate, while
+// flushes and merges (which do not change results) must not prevent
+// hits.
 func TestSegmentCacheInvalidation(t *testing.T) {
 	si := buildSegmentIndex(t, SegmentOptions{Dir: t.TempDir(), Writers: 1, FlushDocs: 4}, nil)
 	si.Add("a", "acme acquired a new ceo")
@@ -299,12 +284,8 @@ func TestSegmentConcurrentIngestSearchMerge(t *testing.T) {
 	}
 }
 
-// TestSegmentOptionsValidation covers defaulting and the required-Dir
-// error.
+// TestSegmentOptionsValidation covers defaulting.
 func TestSegmentOptionsValidation(t *testing.T) {
-	if _, err := OpenSegmentIndex(SegmentOptions{}); err == nil {
-		t.Fatal("empty Dir accepted")
-	}
 	si, err := OpenSegmentIndex(SegmentOptions{Dir: filepath.Join(t.TempDir(), "nested", "idx"), MergeFactor: 1, Writers: -3})
 	if err != nil {
 		t.Fatal(err)
@@ -312,6 +293,67 @@ func TestSegmentOptionsValidation(t *testing.T) {
 	defer si.Close()
 	if si.mergeFactor != 2 || len(si.writers) != 1 || si.flushDocs != DefaultFlushDocs {
 		t.Fatalf("defaults not applied: mf=%d writers=%d flush=%d", si.mergeFactor, len(si.writers), si.flushDocs)
+	}
+}
+
+// TestMemoryOnlyEngine pins what an empty Dir opens: an engine that
+// loads and searches like a durable one, but keeps every document in
+// its memtables, creates nothing on disk, starts no goroutine that
+// outlives its calls, and closes — twice — to nil.
+func TestMemoryOnlyEngine(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	cwd, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+
+	docs := syntheticCorpus(2000, 48)
+	si, err := OpenSegmentIndex(SegmentOptions{Writers: 3, FlushDocs: 10, MergeFactor: 2})
+	if err != nil {
+		t.Fatalf("empty Dir: %v", err)
+	}
+	si.AddDocs(asDocs(docs[:1500]))
+	for _, d := range docs[1500:] {
+		si.Add(d.id, d.text)
+	}
+	m := newIndexModel()
+	for _, d := range docs {
+		m.add(d.id, d.text)
+	}
+	checkAgainstModel(t, si, m, goldenQueries, []int{0, 10})
+	st := si.SegmentStats()
+	if st.Dir != "" || st.Generation != 0 || st.Segments != 0 || st.SegmentDocs != 0 || st.MemtableDocs != len(docs) {
+		t.Fatalf("memory-only engine stats = %+v, want every one of %d documents in memtables", st, len(docs))
+	}
+	if si.Len() != len(docs) || si.IndexStats().Segments != 0 {
+		t.Fatalf("Len = %d, Stats = %+v", si.Len(), si.IndexStats())
+	}
+	for i := 0; i < 2; i++ {
+		if err := si.Close(); err != nil {
+			t.Fatalf("Close #%d = %v", i+1, err)
+		}
+	}
+
+	// Fan-out and bulk-load workers finish with the calls that start
+	// them, so the count returns to where it was.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the engine's calls (%d before it opened)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Fatalf("the engine wrote %d entries to TMPDIR (%v)", len(ents), err)
+	}
+	after, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(cwd) {
+		t.Fatalf("the working directory went from %d to %d entries", len(cwd), len(after))
 	}
 }
 

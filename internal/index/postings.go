@@ -12,9 +12,10 @@ import (
 // implementation: the varint delta codec segment files store postings
 // in (see STORAGE.md §3), and the match-and-score algorithm that turns
 // fetched postings into BM25 hits. Keeping the algorithm in one place
-// is what makes the in-RAM and on-disk engines bit-identical: a shard,
-// a memtable and a segment all resolve queries through the exact same
-// arithmetic, differing only in where the postings bytes come from.
+// is what keeps the engine's answers bit-identical however its
+// documents are split: a memtable and a segment resolve queries
+// through the exact same arithmetic, differing only in where the
+// postings bytes come from.
 
 // appendPosting delta-encodes one posting onto buf. A postings list is
 // a uvarint count followed by its postings in ascending Doc order:
@@ -221,10 +222,6 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // putScratch empties sc and returns it to the pool; nothing read from
 // sc may be used afterwards.
 func putScratch(sc *scratch) {
-	// A shard's lists are its live postings: a pooled scratch must not
-	// pin them.
-	clear(sc.lists)
-	clear(sc.phrase)
 	sc.pl, sc.pos, sc.lists, sc.hits = sc.pl[:0], sc.pos[:0], sc.lists[:0], sc.hits[:0]
 	scratchPool.Put(sc)
 }
@@ -258,9 +255,9 @@ type encodedPart interface {
 
 // searchEncoded is searchPart for an encodedPart: the terms are decoded
 // into sc rarest first, each keeping only the documents every term
-// before it holds, then matchAndScore runs over those lists exactly as
-// it does over a shard's — conjunctive matching cannot tell a list from
-// its intersection with the others. A term that leaves no document ends
+// before it holds, then matchAndScore runs over those lists as it
+// would over the whole lists — conjunctive matching cannot tell a list
+// from its intersection with the others. A term that leaves no document ends
 // the search before the remaining terms are read.
 func searchEncoded(p encodedPart, q *partQuery, docLens []float64, ids []string, sc *scratch) {
 	sc.lists = append(sc.lists[:0], make([][]Posting, len(q.distinct))...)
@@ -384,6 +381,20 @@ func phraseInPostings(pos [][]int32) bool {
 	return false
 }
 
+// contains32 reports whether the sorted list holds v.
+func contains32(sorted []int32, v int32) bool {
+	lo, hi := 0, len(sorted)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if sorted[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(sorted) && sorted[lo] == v
+}
+
 // countCo counts the documents two postings lists share, by a merge
 // over their ascending doc IDs. With window <= 0 every shared document
 // counts — the whole-document co-occurrence the PMI-IR lexicon
@@ -407,4 +418,25 @@ func countCo(pa, pb []Posting, window int32) int {
 		}
 	}
 	return n
+}
+
+// positionsNear reports whether two sorted position lists have a pair
+// within the window.
+func positionsNear(a, b []int32, window int32) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		d := a[i] - b[j]
+		if d < 0 {
+			d = -d
+		}
+		if d <= window {
+			return true
+		}
+		if a[i] < b[j] {
+			i++
+		} else {
+			j++
+		}
+	}
+	return false
 }

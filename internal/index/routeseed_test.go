@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// goldenRoutes pins shard assignments over 4 shards. Routing is a pure
-// function of the document ID under the fixed routeSeed, so these
-// values must hold in every process — a change here means shard
+// goldenRoutes pins writer-lane assignments over 4 lanes. Routing is a
+// pure function of the document ID under the fixed routeSeed, so these
+// values must hold in every process — a change here means lane
 // placement stopped being reproducible across restarts.
 var goldenRoutes = map[string]int{
 	"u:a":                                 2,
@@ -23,10 +23,10 @@ var goldenRoutes = map[string]int{
 }
 
 func TestRouteSeedStableAcrossRestarts(t *testing.T) {
-	ix := NewWithOptions(Options{Shards: 4})
+	ix := memoryIndex(t, 4, 0)
 	for docID, want := range goldenRoutes {
-		if got := ix.shardFor(docID); got != ix.shards[want] {
-			t.Errorf("route(%q) -> shard %d, want %d", docID, route(docID)%4, want)
+		if got := ix.laneOf(docID); got != want {
+			t.Errorf("route(%q) -> lane %d, want %d", docID, got, want)
 		}
 	}
 }
@@ -38,11 +38,11 @@ func TestRouteSeedSpreadsShards(t *testing.T) {
 		counts[route(fmt.Sprintf("doc-%d", i))%4]++
 	}
 	for s, c := range counts {
-		// Each shard should hold roughly a quarter; allow wide slack —
+		// Each lane should hold roughly a quarter; allow wide slack —
 		// this guards against degenerate routing (everything on one
-		// shard), not statistical perfection.
+		// lane), not statistical perfection.
 		if c < n/8 || c > n/2 {
-			t.Errorf("shard %d holds %d of %d docs; routing is badly skewed: %v", s, c, n, counts)
+			t.Errorf("lane %d holds %d of %d docs; routing is badly skewed: %v", s, c, n, counts)
 		}
 	}
 }

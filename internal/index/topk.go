@@ -16,7 +16,7 @@ func hitBetter(a, b Hit) bool {
 // topK selects the k best hits (all of them when k <= 0) in ranking
 // order. For bounded k it keeps a min-heap of the current best k — the
 // root is the worst retained hit, so each additional candidate costs
-// O(log k) and merging S shards' results never materializes more than
+// O(log k) and merging S parts' results never materializes more than
 // k+1 entries beyond the inputs.
 type topK struct {
 	k    int

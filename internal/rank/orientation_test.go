@@ -70,7 +70,10 @@ func TestLexiconEntriesSorted(t *testing.T) {
 }
 
 func TestInduceLexiconPMI(t *testing.T) {
-	ix := index.New()
+	ix, err := index.OpenSegmentIndex(index.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// "surge" co-occurs with positive seeds, "slump" with negative ones.
 	ix.Add("p1", "the surge was excellent and strong this year")
 	ix.Add("p2", "an excellent surge in demand looked strong")

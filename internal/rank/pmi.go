@@ -3,8 +3,8 @@ package rank
 import "math"
 
 // CorpusStats is the slice of the search engine PMI-IR needs:
-// document-frequency and proximity co-occurrence counts. Both the
-// in-RAM index and the persistent segment index satisfy it.
+// document-frequency and proximity co-occurrence counts. The segment
+// index (index.Engine) satisfies it, durable or memory-only.
 type CorpusStats interface {
 	// DocFreq returns the document frequency of one term.
 	DocFreq(term string) int

@@ -15,7 +15,10 @@ func TestInduceLexiconOnCorpus(t *testing.T) {
 		Seed: 51, RelevantPerDriver: 80, BackgroundDocs: 200,
 		HardNegativePerDriver: 20, FamousEventDocs: 4,
 	}).World()
-	ix := index.New()
+	ix, err := index.OpenSegmentIndex(index.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range docs {
 		ix.Add(d.URL, d.Text())
 	}

@@ -45,17 +45,18 @@ type webOptions struct {
 }
 
 // WithEngine backs the web with a caller-supplied search engine — an
-// in-RAM index.Index built with non-default options, or a persistent
-// index.SegmentIndex — instead of a fresh default in-RAM index. A
-// reopened engine may already hold documents; the build and ingest
-// paths then repair the page table without re-indexing (ranked results
-// are identical either way).
+// index.SegmentIndex opened with non-default options or over an index
+// directory — instead of a fresh default memory-only one. A reopened
+// engine may already hold documents; the build and ingest paths then
+// repair the page table without re-indexing (ranked results are
+// identical either way).
 func WithEngine(e index.Engine) Option {
 	return func(wo *webOptions) { wo.engine = e }
 }
 
-// New returns an empty Web. With no options the search index uses its
-// defaults (GOMAXPROCS shards, DefaultCacheSize query cache).
+// New returns an empty Web. With no options the search index is a
+// memory-only index.SegmentIndex with its defaults (GOMAXPROCS writer
+// lanes, DefaultCacheSize query cache).
 func New(opts ...Option) *Web {
 	var wo webOptions
 	for _, o := range opts {
@@ -63,7 +64,11 @@ func New(opts ...Option) *Web {
 	}
 	ix := wo.engine
 	if ix == nil {
-		ix = index.New()
+		si, err := index.OpenSegmentIndex(index.SegmentOptions{})
+		if err != nil {
+			panic("web: a memory-only index does no I/O, yet opening it failed: " + err.Error())
+		}
+		ix = si
 	}
 	return &Web{pages: make(map[string]*Page), ix: ix}
 }
@@ -240,9 +245,10 @@ func (w *Web) Search(query string, k int) []*Page {
 func (w *Web) Index() index.Engine { return w.ix }
 
 // Close releases the underlying search engine when it holds external
-// resources (a persistent segment index flushes its memtables and
-// closes its files); webs over the in-RAM index return nil. The web
-// must not be used after Close.
+// resources (a durable segment index flushes its memtables and closes
+// its files); a memory-only index holds none, so its web returns nil
+// and leaks nothing if never closed. The web must not be used after
+// Close.
 func (w *Web) Close() error {
 	if c, ok := w.ix.(interface{ Close() error }); ok {
 		return c.Close()

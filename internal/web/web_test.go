@@ -191,22 +191,26 @@ func TestAddPagesDuplicatePanics(t *testing.T) {
 	})
 }
 
-// TestWithIndexOptions checks that an in-RAM index built with
+// TestWithIndexOptions checks that a memory-only index opened with
 // non-default options and handed over through WithEngine backs the web.
 func TestWithIndexOptions(t *testing.T) {
-	w := New(WithEngine(index.NewWithOptions(index.Options{Shards: 3, CacheSize: -1})))
+	eng, err := index.OpenSegmentIndex(index.SegmentOptions{Writers: 3, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := New(WithEngine(eng))
 	w.AddPage(Page{URL: "http://x.example.com/", Text: "merger news"})
 	if got := w.Index().IndexStats().Shards; got != 3 {
 		t.Fatalf("IndexStats().Shards = %d, want 3", got)
 	}
 	if hits := w.Search("merger", 0); len(hits) != 1 {
-		t.Fatalf("search on sharded web: %v", hits)
+		t.Fatalf("search on a three-lane web: %v", hits)
 	}
 }
 
 // TestWithEngineSegmentBacked drives the full persistent lifecycle
-// through the web layer: a segment-backed web indexes, searches and
-// ingests like the in-RAM one; after Close a new web over the reopened
+// through the web layer: a durable segment-backed web indexes, searches
+// and ingests like a memory-only one; after Close a new web over the reopened
 // engine repairs its page table from the same pages without
 // re-indexing (no duplicate-add panic, Ingest reports
 // ErrDuplicatePage), and searches serve from the recovered segments.
